@@ -166,14 +166,18 @@ def _cmd_loss(args, parser):
     try:
         scales = [ScaleLoss(float(s["dice"]), float(s["ce"]), float(s["tasl"]))
                   for s in doc["scales"]]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(
             f"{args.scales}: each scale needs numeric 'dice', 'ce', 'tasl' fields ({exc})") from None
     weights = doc.get("scale_weights")
     if weights is None:
         weights = default_scale_weights(len(scales))
-    cfg = DeepSupervisionConfig(scale_weights=tuple(float(w) for w in weights),
-                                beta=float(doc.get("beta", 1.0)))
+    try:
+        weights, beta = tuple(float(w) for w in weights), float(doc.get("beta", 1.0))
+    except (TypeError, ValueError):
+        raise ValidationError(
+            f"{args.scales}: 'scale_weights' must be an array of numbers and 'beta' a number") from None
+    cfg = DeepSupervisionConfig(scale_weights=weights, beta=beta)
     value = total_loss(scales, cfg)
     return {"schema": SCHEMA, "total": value, "beta": cfg.beta,
             "scale_weights": list(cfg.scale_weights), "n_scales": len(scales)}
@@ -243,12 +247,7 @@ def _cmd_synth(args, parser):
     unknown = set(doc) - known
     if unknown:
         raise ValidationError(f"{args.spec}: unknown field(s) {sorted(unknown)}")
-    kwargs = dict(doc)
-    if "dims" in kwargs:
-        kwargs["dims"] = tuple(kwargs["dims"])
-    if "segment_length" in kwargs:
-        kwargs["segment_length"] = tuple(kwargs["segment_length"])
-    spec = synth_mod.SynthSpec(**kwargs)
+    spec = synth_mod.SynthSpec(**doc)
     tree = synth_mod.generate_tree(spec)
     mask, prob = synth_mod.rasterize(tree, spec)
     swc_path = f"{args.out_prefix}.swc"

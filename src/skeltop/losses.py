@@ -4,6 +4,7 @@ All reductions run in float64 over the flat voxel order, so results are
 bit-reproducible across runs.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +73,8 @@ class DeepSupervisionConfig:
 
     def __post_init__(self):
         weights = tuple(float(w) for w in self.scale_weights)
+        if not all(math.isfinite(v) for v in (*weights, self.beta, self.epsilon_dice)):
+            raise ValidationError("scale weights, beta and epsilon_dice must be finite")
         if not weights or any(w < 0 for w in weights):
             raise ValidationError("scale weights must be non-negative and non-empty")
         if all(w == 0 for w in weights):

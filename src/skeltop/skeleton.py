@@ -7,6 +7,7 @@ radius r (default 2.0 voxel units, which connects axial distance 2 and
 the sqrt(2)/sqrt(3) diagonals but not distance sqrt(5)).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +43,9 @@ class SkeletonGraph:
     def __post_init__(self):
         nodes = np.ascontiguousarray(np.asarray(self.nodes, dtype=np.int64).reshape(-1, 3))
         edges = np.ascontiguousarray(np.asarray(self.edges, dtype=np.int64).reshape(-1, 2))
-        if self.radius_r <= 0:
-            raise ValidationError(f"adjacency radius must be positive, got {self.radius_r}")
+        if not (math.isfinite(self.radius_r) and self.radius_r > 0):
+            raise ValidationError(
+                f"adjacency radius must be positive and finite, got {self.radius_r}")
         if len(nodes) and len(np.unique(nodes, axis=0)) != len(nodes):
             raise ValidationError("skeleton graph nodes must have distinct coordinates")
         if len(edges):

@@ -11,6 +11,7 @@ The weighted sum is a scalar regularizer computed on hard-thresholded
 volumes; there is no gradient path. Distances are in voxel units.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,9 @@ class SkeletonLossWeights:
     r: float = DEFAULT_RADIUS
 
     def __post_init__(self):
+        for name in ("lambda_node", "lambda_edge", "lambda_path", "epsilon", "r"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("lambda_node", "lambda_edge", "lambda_path"):
             if getattr(self, name) < 0:
                 raise ValidationError(f"{name} must be non-negative")

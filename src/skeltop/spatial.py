@@ -7,6 +7,8 @@ deterministic: pair lists are returned in sorted order and distance
 queries are order-independent minima.
 """
 
+import math
+
 import numpy as np
 
 from .errors import ValidationError
@@ -40,8 +42,8 @@ def pairs_within_radius(points, r: float) -> np.ndarray:
     examined exactly once (own cell plus 13 forward neighbors). Output is
     lexicographically sorted.
     """
-    if r <= 0:
-        raise ValidationError(f"radius must be positive, got {r}")
+    if not (math.isfinite(r) and r > 0):
+        raise ValidationError(f"radius must be positive and finite, got {r}")
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     n = len(pts)
     if n < 2:

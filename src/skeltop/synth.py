@@ -9,6 +9,7 @@ coordinates live in voxel index space, (x, y, z) mapping to voxel
 least the tube radius.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,10 +36,19 @@ class SynthSpec:
     blur_sigma: float = 0.0
 
     def __post_init__(self):
-        d = tuple(int(v) for v in self.dims)
-        if len(d) != 3 or min(d) < 1:
+        checked = {"seed": _integer(self.seed, "seed"),
+                   "dims": _numbers(self.dims, "dims", 3, _integer),
+                   "n_branch_points": _integer(self.n_branch_points, "n_branch_points"),
+                   "segment_length": _numbers(self.segment_length, "segment_length", 2, _real)}
+        for name in ("tube_radius", "noise_sigma", "blur_sigma"):
+            checked[name] = _real(getattr(self, name), name)
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        if min(self.dims) < 1:
             raise ValidationError(f"dims must be 3 positive integers, got {self.dims!r}")
-        lo, hi = (float(self.segment_length[0]), float(self.segment_length[1]))
+        lo, hi = self.segment_length
         if not (0 < lo <= hi):
             raise ValidationError(f"segment_length must satisfy 0 < min <= max, got {self.segment_length!r}")
         if self.n_branch_points < 0:
@@ -47,8 +57,35 @@ class SynthSpec:
             raise ValidationError("tube_radius must be positive")
         if self.noise_sigma < 0 or self.blur_sigma < 0:
             raise ValidationError("noise_sigma and blur_sigma must be non-negative")
-        object.__setattr__(self, "dims", d)
-        object.__setattr__(self, "segment_length", (lo, hi))
+
+
+def _integer(value, name):
+    """An integral number (3 and 3.0 pass; "3", 2.5 and nan do not)."""
+    try:
+        out = int(value)
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if out is None or isinstance(value, str) or out != value:
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return out
+
+
+def _real(value, name):
+    """A finite real number."""
+    try:
+        out = float(value)
+    except (TypeError, ValueError):
+        out = math.nan
+    if isinstance(value, str) or not math.isfinite(out):
+        raise ValidationError(f"{name} must be a finite number, got {value!r}")
+    return out
+
+
+def _numbers(values, name, count, convert):
+    """A sequence of exactly `count` numbers, each checked by `convert`."""
+    if isinstance(values, (str, bytes)) or not hasattr(values, "__len__") or len(values) != count:
+        raise ValidationError(f"{name} must be a sequence of {count} numbers, got {values!r}")
+    return tuple(convert(v, name) for v in values)
 
 
 def _rng(seed, stream):

@@ -5,78 +5,99 @@ deleted only when it is a simple point for (26, 6) connectivity, i.e. its
 removal provably preserves foreground topology: the foreground of its
 punctured 3x3x3 neighborhood must form exactly one 26-connected
 component, and the background of its 18-neighborhood exactly one
-6-connected component touching a face neighbor. Endpoints (exactly one
-foreground neighbor) are kept so that curve ends survive.
+6-connected component touching a face neighbor (T26 = T6 = 1, Bertrand &
+Malandain 1994). Endpoints (exactly one foreground neighbor) are kept so
+that curve ends survive.
+
+Each neighborhood is packed into a 27-bit integer code (bit k is the k-th
+cell in (dz, dy, dx) lexicographic order). A component is grown from its
+lowest set bit by OR-ing per-byte adjacency tables until it stops
+changing, so the simple-point test is a handful of table lookups per
+voxel. The image is visited through its ascending list of foreground flat
+indices, which is exactly ``argwhere`` order.
 
 Within a sub-iteration, simplicity is evaluated in bulk against the
-current image and a candidate is deleted only if no earlier deletion
-touched its 26-neighborhood; conflicting candidates wait for the next
-pass. Every deletion is therefore valid at the moment it happens, which
-makes the component count (and all other topology) invariant, and the
-fixpoint loop makes the operator idempotent.
+current image. Candidates are then resolved as if scanned in that order,
+deleting one only if no earlier deletion touched its 26-neighborhood:
+that is the lexicographically first maximal independent set of the
+candidates under 26-adjacency, computed in rounds. Conflicting candidates
+wait for the next pass. Every deletion is therefore valid at the moment
+it happens, which makes the component count (and all other topology)
+invariant, and the fixpoint loop makes the operator idempotent.
 """
 
 import numpy as np
 
-_OFFSETS = [(dz, dy, dx) for dz in (-1, 0, 1) for dy in (-1, 0, 1) for dx in (-1, 0, 1)]
+_OFFSETS = np.array([(dz, dy, dx)
+                     for dz in (-1, 0, 1) for dy in (-1, 0, 1) for dx in (-1, 0, 1)])
 _CENTER = 13
-_SENTINEL = np.int8(100)
-_CELL_IDX = np.arange(27, dtype=np.int8)
+_BITS = np.left_shift(1, np.arange(27, dtype=np.int64))
 
-_off = np.array(_OFFSETS)
-_cheb = np.abs(_off[:, None, :] - _off[None, :, :]).max(axis=2)
-_manh = np.abs(_off[:, None, :] - _off[None, :, :]).sum(axis=2)
-
-_ADJ26 = (_cheb <= 1) & ~np.eye(27, dtype=bool)
-_ADJ26[_CENTER, :] = False
-_ADJ26[:, _CENTER] = False
-
-_IN18 = np.abs(_off).sum(axis=1) <= 2
-_IN18[_CENTER] = False
-_ADJ6 = (_manh == 1) & _IN18[:, None] & _IN18[None, :]
-_FACES = np.where(np.abs(_off).sum(axis=1) == 1)[0]
-
-_DIRECTIONS = [(-1, 0, 0), (1, 0, 0), (0, -1, 0), (0, 1, 0), (0, 0, -1), (0, 0, 1)]
-
-_CHUNK = 4096
+_dist = np.abs(_OFFSETS[:, None, :] - _OFFSETS[None, :, :])
+_norm1 = np.abs(_OFFSETS).sum(axis=1)
+_PUNCTURED = int(_BITS.sum()) & ~(1 << _CENTER)
+_N18 = int(_BITS[_norm1 <= 2].sum()) & ~(1 << _CENTER)
+_FACES = int(_BITS[_norm1 == 1].sum())
 
 
-def _component_labels(fg, adj):
-    """Min-label flood fill over per-row 27-cell neighborhoods."""
-    lbl = np.where(fg, _CELL_IDX[None, :], _SENTINEL)
-    for _ in range(27):
-        neighbor_min = np.where(adj[None, :, :], lbl[:, None, :], _SENTINEL).min(axis=2)
-        new = np.where(fg, np.minimum(lbl, neighbor_min), _SENTINEL)
-        if np.array_equal(new, lbl):
-            break
-        lbl = new
-    return lbl
+def _byte_tables(adj):
+    """tables[j, v]: union of the adjacency rows of the set bits of byte j = v."""
+    rows = np.concatenate((np.where(adj, _BITS, 0).sum(axis=1), np.zeros(5, np.int64)))
+    bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
+    return np.bitwise_or.reduce(np.where(bits[None], rows.reshape(4, 1, 8), 0), axis=2)
 
 
-def _simple_mask(nb27):
-    """Per-row (26, 6) simple-point test for (n, 27) neighborhood slabs."""
-    out = np.empty(nb27.shape[0], dtype=bool)
-    for lo in range(0, nb27.shape[0], _CHUNK):
-        nb = nb27[lo:lo + _CHUNK]
-        fg = nb.copy()
-        fg[:, _CENTER] = False
-        lbl = _component_labels(fg, _ADJ26)
-        n_fg = (fg & (lbl == _CELL_IDX[None, :])).sum(axis=1)
-
-        bg = ~nb & _IN18[None, :]
-        lbl = _component_labels(bg, _ADJ6)
-        face_lbl = np.sort(np.where(bg[:, _FACES], lbl[:, _FACES], _SENTINEL), axis=1)
-        n_bg = (face_lbl[:, 0] != _SENTINEL).astype(np.int64)
-        n_bg += ((face_lbl[:, 1:] != face_lbl[:, :-1]) & (face_lbl[:, 1:] != _SENTINEL)).sum(axis=1)
-
-        out[lo:lo + _CHUNK] = (n_fg == 1) & (n_bg == 1)
-    return out
+# Four 256-entry tables per adjacency, flattened: 26-adjacency, then 6-adjacency.
+_TABLES = np.concatenate((_byte_tables(_dist.max(axis=2) == 1),
+                          _byte_tables(_dist.sum(axis=2) == 1))).ravel()
+_SHIFTS = np.arange(0, 32, 8)[:, None]
 
 
-def _gather_neighborhoods(padded, coords):
-    return np.stack(
-        [padded[coords[:, 0] + oz, coords[:, 1] + oy, coords[:, 2] + ox]
-         for (oz, oy, ox) in _OFFSETS], axis=1)
+def _reach(seed, allowed, base):
+    """Bits of `allowed` connected to `seed`, per row; column i of `base`
+    points row i at its adjacency's four tables in `_TABLES`."""
+    while True:
+        lookup = _TABLES[base + ((seed >> _SHIFTS) & 255)]
+        grown = (np.bitwise_or.reduce(lookup, axis=0) | seed) & allowed
+        if (grown == seed).all():
+            return seed
+        seed = grown
+
+
+def _simple(codes):
+    """(26, 6) simple-point test for an int64 array of 27-bit neighborhood codes."""
+    n = len(codes)
+    fg = codes & _PUNCTURED
+    bg = ~codes & _N18
+    face_bg = bg & _FACES
+    base = _SHIFTS * 32 + np.repeat((0, 1024), n)  # both tests share one growth loop
+    reach = _reach(np.concatenate((fg & -fg, face_bg & -face_bg)),
+                   np.concatenate((fg, bg)), base)
+    one_fg = (fg != 0) & (reach[:n] == fg)
+    one_bg = (face_bg != 0) & (reach[n:] & face_bg == face_bg)
+    return one_fg & one_bg
+
+
+def _first_independent(idx, earlier):
+    """Lexicographically first maximal independent subset of ascending `idx`,
+    where `earlier` holds the flat offsets of the 13 preceding 26-neighbors."""
+    n = len(idx)
+    nbr_flat = earlier[:, None] + idx
+    nbr = np.searchsorted(idx, nbr_flat)
+    nbr[idx[np.minimum(nbr, n - 1)] != nbr_flat] = n  # not a candidate
+    is_cand = nbr < n
+    todo = np.flatnonzero(is_cand.any(axis=0))
+    nbr = nbr[is_cand.any(axis=1)][:, todo]
+    state = np.full(n + 1, 2, dtype=np.int8)  # 0 skipped, 1 undecided, 2 deleted
+    state[n] = 0
+    state[todo] = 1
+    while len(todo):
+        # deleted next to a deletion is skipped; with every neighbor skipped, deleted
+        top = state[nbr].max(axis=0)
+        state[todo] = 2 - top
+        wait = top == 1
+        todo, nbr = todo[wait], nbr[:, wait]
+    return idx[state[:n] == 2]
 
 
 def thin(mask: np.ndarray) -> np.ndarray:
@@ -84,29 +105,24 @@ def thin(mask: np.ndarray) -> np.ndarray:
     d, h, w = mask.shape
     img = np.zeros((d + 2, h + 2, w + 2), dtype=bool)
     img[1:-1, 1:-1, 1:-1] = np.asarray(mask, dtype=bool)
-    core = img[1:-1, 1:-1, 1:-1]
+    flat = img.reshape(-1)
+    sz, sy = (h + 2) * (w + 2), w + 2
+    offs = _OFFSETS @ np.array([sz, sy, 1])
+    fg = np.flatnonzero(flat)
     changed = True
     while changed:
         changed = False
-        for (dz, dy, dx) in _DIRECTIONS:
-            ahead = img[1 + dz:1 + dz + d, 1 + dy:1 + dy + h, 1 + dx:1 + dx + w]
-            coords = np.argwhere(core & ~ahead) + 1
-            if coords.shape[0] == 0:
+        for step in (-sz, sz, -sy, sy, -1, 1):
+            idx = fg[~flat[fg + step]]
+            nb = flat[idx[:, None] + offs]
+            codes = np.packbits(nb, axis=1, bitorder="little").view("<u4")[:, 0].astype(np.int64)
+            others = codes & _PUNCTURED
+            keep = (others & (others - 1)) != 0  # 2+ neighbors: endpoints and isolated stay
+            idx, codes = idx[keep], codes[keep]
+            idx = idx[_simple(codes)]
+            if len(idx) == 0:
                 continue
-            nb27 = _gather_neighborhoods(img, coords)
-            n_neighbors = nb27.sum(axis=1) - 1
-            keep = n_neighbors >= 2  # protect endpoints and isolated voxels
-            coords = coords[keep]
-            if coords.shape[0] == 0:
-                continue
-            coords = coords[_simple_mask(nb27[keep])]
-            if coords.shape[0] == 0:
-                continue
-            deleted = np.zeros_like(img)
-            for z, y, x in coords:
-                if deleted[z - 1:z + 2, y - 1:y + 2, x - 1:x + 2].any():
-                    continue  # neighborhood changed; re-decide next pass
-                img[z, y, x] = False
-                deleted[z, y, x] = True
-                changed = True
-    return core.copy()
+            flat[_first_independent(idx, offs[:_CENTER])] = False
+            fg = fg[flat[fg]]
+            changed = True
+    return img[1:-1, 1:-1, 1:-1].copy()

@@ -19,6 +19,14 @@ def run_cli(*args, env_extra=None):
                           capture_output=True, text=True, env=env)
 
 
+def assert_one_line_error(res):
+    """Exit 2 with a single `error:` line on stderr and nothing on stdout."""
+    assert res.returncode == 2, res.stderr
+    assert "Traceback" not in res.stderr and "Warning" not in res.stderr
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1, res.stderr
+    assert res.stdout == ""
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
@@ -138,6 +146,41 @@ class TestCommands:
         res = run_cli("trace-eval", "--pred", str(empty), "--gt", str(workdir / "trace.swc"))
         assert res.returncode == 2
         assert "undefined" in res.stderr
+
+    @pytest.mark.parametrize("flags", [("--r", "nan"), ("--r", "inf"), ("--eps", "nan"),
+                                       ("--weights", "nan,0.5,0.5"), ("--weights", "1,inf,0.5")])
+    def test_tasl_non_finite_exit2(self, workdir, flags):
+        res = run_cli("tasl", "--pred", str(workdir / "gt.json"),
+                      "--gt", str(workdir / "gt.json"), *flags)
+        assert_one_line_error(res)
+
+    @pytest.mark.parametrize("radius", ["nan", "inf"])
+    def test_graph_non_finite_radius_exit2(self, workdir, tmp_path, radius):
+        res = run_cli("graph", "--in", str(workdir / "gt.json"),
+                      "--out", str(tmp_path / "g.json"), "--r", radius)
+        assert_one_line_error(res)
+
+    @pytest.mark.parametrize("doc", [
+        {"scales": [{"dice": "x", "ce": 0.6, "tasl": 0.5}]},
+        {"scales": [{"dice": 0.4, "ce": [1], "tasl": 0.5}]},
+        {"scales": [{"dice": 0.4, "ce": 0.6, "tasl": 0.5}], "beta": "x"},
+        {"scales": [{"dice": 0.4, "ce": 0.6, "tasl": 0.5}], "scale_weights": ["x"]},
+        {"scales": [{"dice": 0.4, "ce": 0.6, "tasl": 0.5}], "beta": float("nan")},
+    ])
+    def test_loss_non_numeric_exit2(self, tmp_path, doc):
+        path = tmp_path / "scales.json"
+        path.write_text(json.dumps(doc))
+        assert_one_line_error(run_cli("loss", "--scales", str(path)))
+
+    @pytest.mark.parametrize("doc", [
+        {"seed": "abc"}, {"seed": -1}, {"seed": 0, "dims": 5},
+        {"seed": 0, "segment_length": [3.0, "x"]}, {"seed": 0, "noise_sigma": float("nan")},
+    ])
+    def test_synth_malformed_field_exit2(self, tmp_path, doc):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        res = run_cli("synth", "--spec", str(path), "--out-prefix", str(tmp_path / "fix"))
+        assert_one_line_error(res)
 
 
 class TestBatchMode:

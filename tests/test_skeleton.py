@@ -135,6 +135,10 @@ class TestGraphFromSkeleton:
     def test_invalid_radius(self):
         with pytest.raises(ValidationError):
             graph_from_skeleton(binary_volume(np.zeros((2, 2, 2))), 0.0)
+        for r in (float("nan"), float("inf")):
+            for fill in (np.zeros, np.ones):
+                with pytest.raises(ValidationError):
+                    graph_from_skeleton(binary_volume(fill((2, 2, 2))), r)
 
 
 class TestSkeletonGraphValidation:

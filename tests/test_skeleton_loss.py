@@ -209,6 +209,10 @@ class TestPipeline:
             SkeletonLossWeights(tau=1.0)
         with pytest.raises(ValidationError):
             SkeletonLossWeights(lambda_edge=-0.1)
+        for field in ("lambda_node", "lambda_edge", "lambda_path", "epsilon", "r"):
+            for bad in (float("nan"), float("inf")):
+                with pytest.raises(ValidationError):
+                    SkeletonLossWeights(**{field: bad})
 
 
 def remove_node(g: SkeletonGraph, victim: int) -> SkeletonGraph:

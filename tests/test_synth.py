@@ -66,6 +66,10 @@ class TestGenerateTree:
             SynthSpec(seed=0, tube_radius=0.0)
         with pytest.raises(ValidationError):
             SynthSpec(seed=0, n_branch_points=-1)
+        for bad in ({"seed": "abc"}, {"seed": 0, "dims": ("a", 8, 8)},
+                    {"seed": 0, "tube_radius": float("nan")}, {"seed": 0, "n_branch_points": 1.5}):
+            with pytest.raises(ValidationError):
+                SynthSpec(**bad)
 
 
 class TestRasterize:
