@@ -56,24 +56,18 @@ def _emit(payload) -> None:
     sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
-def _volume_stems(directory):
+def _stems(directory, extensions):
+    """Stem -> path for the files in `directory` with one of `extensions`."""
     stems = {}
     for name in sorted(os.listdir(directory)):
-        if name.endswith(VOLUME_EXTENSIONS):
+        if name.endswith(extensions):
             stems[name.rsplit(".", 1)[0]] = os.path.join(directory, name)
     return stems
 
 
-def _swc_stems(directory):
-    stems = {}
-    for name in sorted(os.listdir(directory)):
-        if name.endswith(".swc"):
-            stems[name[:-4]] = os.path.join(directory, name)
-    return stems
-
-
-def _run_batch(pred_stems, gt_stems, evaluate_pair):
-    """Evaluate matching stems concurrently; one error entry per bad file."""
+def _run_batch(args, extensions, evaluate_pair):
+    """Evaluate --pred-dir/--gt-dir files paired by stem; one error entry per bad file."""
+    pred_stems, gt_stems = (_stems(d, extensions) for d in (args.pred_dir, args.gt_dir))
     order = sorted(pred_stems)
 
     def run_one(stem):
@@ -110,7 +104,7 @@ def _cmd_seg_eval(args, parser):
 
     if _require_pair_mode(args, parser):
         return {"schema": SCHEMA, **evaluate_pair(args.pred, args.gt)}
-    return _run_batch(_volume_stems(args.pred_dir), _volume_stems(args.gt_dir), evaluate_pair)
+    return _run_batch(args, VOLUME_EXTENSIONS, evaluate_pair)
 
 
 def _cmd_trace_eval(args, parser):
@@ -121,7 +115,7 @@ def _cmd_trace_eval(args, parser):
 
     if _require_pair_mode(args, parser):
         return {"schema": SCHEMA, **evaluate_pair(args.pred, args.gt)}
-    return _run_batch(_swc_stems(args.pred_dir), _swc_stems(args.gt_dir), evaluate_pair)
+    return _run_batch(args, ".swc", evaluate_pair)
 
 
 def _parse_weights(text):
@@ -152,7 +146,7 @@ def _cmd_tasl(args, parser):
 
     if _require_pair_mode(args, parser):
         return {"schema": SCHEMA, **evaluate_pair(args.pred, args.gt)}
-    return _run_batch(_volume_stems(args.pred_dir), _volume_stems(args.gt_dir), evaluate_pair)
+    return _run_batch(args, VOLUME_EXTENSIONS, evaluate_pair)
 
 
 def _cmd_loss(args, parser):

@@ -179,7 +179,7 @@ def read_tensor(path: str) -> np.ndarray:
     header = rawjson.load_header(path)
     shape = rawjson.require_field(header, path, "shape")
     if (not isinstance(shape, list) or not shape
-            or any(not isinstance(v, int) or v < 1 for v in shape)):
+            or any(type(v) is not int or v < 1 for v in shape)):
         raise ParseError(f"{path}: field 'shape' must be positive integers, got {shape!r}")
     if header.get("dtype") != "f32":
         raise ParseError(f"{path}: field 'dtype' must be 'f32', got {header.get('dtype')!r}")

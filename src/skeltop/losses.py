@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_positive_finite
 from .volume import Volume3D
 
 CE_CLAMP = 1e-7
@@ -24,8 +24,7 @@ def _check_dims(p: Volume3D, g: Volume3D):
 def dice_loss(p: Volume3D, g: Volume3D, epsilon: float = DICE_EPSILON) -> float:
     """1 - 2*sum(p*g) / (sum(p^2) + sum(g^2) + epsilon)."""
     _check_dims(p, g)
-    if epsilon <= 0:
-        raise ValidationError(f"epsilon must be positive, got {epsilon}")
+    check_positive_finite("epsilon", epsilon)
     pv = p.data.ravel().astype(np.float64)
     gv = g.data.ravel().astype(np.float64)
     num = 2.0 * float(np.sum(pv * gv))
@@ -81,8 +80,7 @@ class DeepSupervisionConfig:
             raise ValidationError("at least one scale weight must be positive")
         if self.beta < 0:
             raise ValidationError(f"beta must be non-negative, got {self.beta}")
-        if self.epsilon_dice <= 0:
-            raise ValidationError(f"epsilon_dice must be positive, got {self.epsilon_dice}")
+        check_positive_finite("epsilon_dice", self.epsilon_dice)
         object.__setattr__(self, "scale_weights", weights)
 
 

@@ -6,6 +6,7 @@ via `data_file` (resolved relative to the header's directory).
 """
 
 import json
+import math
 import os
 
 import numpy as np
@@ -26,6 +27,14 @@ def load_header(path):
     if not isinstance(header, dict):
         raise ParseError(f"{path}: header must be a JSON object")
     return header
+
+
+def is_finite_number(value):
+    """A JSON number that is a finite float; booleans are not numbers."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 def require_field(header, path, name):

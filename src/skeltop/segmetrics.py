@@ -58,6 +58,10 @@ def _surface_points(vol: Volume3D, use_spacing: bool) -> np.ndarray:
     return pts
 
 
+def _directed_hd95(from_surface, to_surface) -> float:
+    return nearest_rank_percentile(spatial.min_dists_to_set(from_surface, to_surface), 0.95)
+
+
 def hd95(pred: Volume3D, gt: Volume3D, mode: str = DIRECTED,
          use_spacing: bool = False) -> float:
     """95th-percentile surface distance; voxel units unless use_spacing."""
@@ -68,11 +72,8 @@ def hd95(pred: Volume3D, gt: Volume3D, mode: str = DIRECTED,
         raise UndefinedMetricError("hd95 is undefined when either mask is empty")
     pred_surface = _surface_points(pred, use_spacing)
     gt_surface = _surface_points(gt, use_spacing)
-    fwd = nearest_rank_percentile(spatial.min_dists_to_set(pred_surface, gt_surface), 0.95)
-    if mode == DIRECTED:
-        return fwd
-    bwd = nearest_rank_percentile(spatial.min_dists_to_set(gt_surface, pred_surface), 0.95)
-    return max(fwd, bwd)
+    fwd = _directed_hd95(pred_surface, gt_surface)
+    return fwd if mode == DIRECTED else max(fwd, _directed_hd95(gt_surface, pred_surface))
 
 
 @dataclass(frozen=True)
@@ -103,8 +104,10 @@ def evaluate_segmentation(pred: Volume3D, gt: Volume3D,
                           use_spacing: bool = False) -> SegReport:
     precision, recall, f1, counts = precision_recall_f1(pred, gt)
     if pred.foreground_count() and gt.foreground_count():
-        directed = hd95(pred, gt, DIRECTED, use_spacing)
-        symmetric = hd95(pred, gt, SYMMETRIC, use_spacing)
+        pred_surface = _surface_points(pred, use_spacing)
+        gt_surface = _surface_points(gt, use_spacing)
+        directed = _directed_hd95(pred_surface, gt_surface)
+        symmetric = max(directed, _directed_hd95(gt_surface, pred_surface))
     else:
         directed = symmetric = None
     return SegReport(100.0 * precision, 100.0 * recall, 100.0 * f1,

@@ -7,13 +7,12 @@ radius r (default 2.0 voxel units, which connects axial distance 2 and
 the sqrt(2)/sqrt(3) diagonals but not distance sqrt(5)).
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import spatial, thinning
-from .errors import ValidationError
+from .errors import ValidationError, check_positive_finite
 from .volume import BINARY, Volume3D
 
 DEFAULT_RADIUS = 2.0
@@ -43,9 +42,7 @@ class SkeletonGraph:
     def __post_init__(self):
         nodes = np.ascontiguousarray(np.asarray(self.nodes, dtype=np.int64).reshape(-1, 3))
         edges = np.ascontiguousarray(np.asarray(self.edges, dtype=np.int64).reshape(-1, 2))
-        if not (math.isfinite(self.radius_r) and self.radius_r > 0):
-            raise ValidationError(
-                f"adjacency radius must be positive and finite, got {self.radius_r}")
+        check_positive_finite("adjacency radius", self.radius_r)
         if len(nodes) and len(np.unique(nodes, axis=0)) != len(nodes):
             raise ValidationError("skeleton graph nodes must have distinct coordinates")
         if len(edges):
@@ -116,8 +113,7 @@ def graph_from_skeleton(skel: Volume3D, r: float = DEFAULT_RADIUS) -> SkeletonGr
 def graph_from_skeleton_bruteforce(skel: Volume3D, r: float = DEFAULT_RADIUS) -> SkeletonGraph:
     """Reference construction by exhaustive pairwise scan (oracle for the
     accelerated builder; identical output required)."""
-    if r <= 0:
-        raise ValidationError(f"adjacency radius must be positive, got {r}")
+    check_positive_finite("adjacency radius", r)
     nodes = _skeleton_nodes(skel)
     n = len(nodes)
     if n < 2:

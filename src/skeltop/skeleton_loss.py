@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spatial
-from .errors import EmptyGraphError, ValidationError
+from .errors import EmptyGraphError, ValidationError, check_positive_finite
 from .skeleton import (DEFAULT_RADIUS, SkeletonGraph, graph_from_skeleton,
                        mean_component_size, skeletonize)
 from .volume import BINARY, PROBABILITY, Volume3D, threshold
@@ -45,12 +45,10 @@ class SkeletonLossWeights:
                 raise ValidationError(f"{name} must be non-negative")
         if self.lambda_node == 0 and self.lambda_edge == 0 and self.lambda_path == 0:
             raise ValidationError("at least one term weight must be positive")
-        if self.epsilon <= 0:
-            raise ValidationError(f"epsilon must be positive, got {self.epsilon}")
+        check_positive_finite("epsilon", self.epsilon)
         if not (0.0 < self.tau < 1.0):
             raise ValidationError(f"tau must lie in (0, 1), got {self.tau}")
-        if self.r <= 0:
-            raise ValidationError(f"r must be positive, got {self.r}")
+        check_positive_finite("r", self.r)
 
 
 @dataclass(frozen=True)
@@ -69,26 +67,22 @@ def node_discrepancy(g_pred: SkeletonGraph, g_gt: SkeletonGraph) -> float:
     """Symmetric mean nearest-neighbor distance between the node sets."""
     if g_pred.is_empty() or g_gt.is_empty():
         raise EmptyGraphError("node discrepancy is undefined for empty graphs")
-    pred = g_pred.nodes.astype(np.float64)
-    gt = g_gt.nodes.astype(np.float64)
-    fwd = spatial.min_dists_to_set(pred, gt).mean()
-    bwd = spatial.min_dists_to_set(gt, pred).mean()
+    fwd = spatial.min_dists_to_set(g_pred.nodes, g_gt.nodes).mean()
+    bwd = spatial.min_dists_to_set(g_gt.nodes, g_pred.nodes).mean()
     return 0.5 * (float(fwd) + float(bwd))
 
 
 def edge_discrepancy(g_pred: SkeletonGraph, g_gt: SkeletonGraph,
                      epsilon: float = DEFAULT_EPSILON) -> float:
     """|#edges_pred - #edges_gt| / (#edges_gt + epsilon)."""
-    if epsilon <= 0:
-        raise ValidationError(f"epsilon must be positive, got {epsilon}")
+    check_positive_finite("epsilon", epsilon)
     return abs(g_pred.n_edges - g_gt.n_edges) / (g_gt.n_edges + epsilon)
 
 
 def path_discrepancy(g_pred: SkeletonGraph, g_gt: SkeletonGraph,
                      epsilon: float = DEFAULT_EPSILON) -> float:
     """Relative difference of mean connected-component node counts."""
-    if epsilon <= 0:
-        raise ValidationError(f"epsilon must be positive, got {epsilon}")
+    check_positive_finite("epsilon", epsilon)
     mean_pred = mean_component_size(g_pred)
     mean_gt = mean_component_size(g_gt)
     return abs(mean_pred - mean_gt) / (mean_gt + epsilon)

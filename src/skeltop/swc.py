@@ -6,11 +6,12 @@ non-blank line is one record of 7 whitespace-separated fields
 a forest: ids are unique, every non-root parent exists, no cycles.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, check_positive_finite
 
 
 @dataclass(frozen=True)
@@ -68,8 +69,10 @@ def _validate_structure(records, lines=None):
     for idx, rec in enumerate(records):
         if rec.id in table:
             raise ParseError(_ctx(lines, idx, f"duplicate id {rec.id}"))
-        if rec.radius <= 0:
-            raise ParseError(_ctx(lines, idx, f"radius must be positive, got {rec.radius}"))
+        if not all(math.isfinite(v) for v in (rec.x, rec.y, rec.z)):
+            raise ParseError(_ctx(lines, idx, f"coordinates must be finite, got {rec.position()}"))
+        if not (math.isfinite(rec.radius) and rec.radius > 0):
+            raise ParseError(_ctx(lines, idx, f"radius must be positive and finite, got {rec.radius}"))
         if rec.parent < -1:
             raise ParseError(_ctx(lines, idx, f"parent must be -1 or a record id, got {rec.parent}"))
         table[rec.id] = rec
@@ -147,8 +150,7 @@ def resample(m: Morphology, step: float) -> Morphology:
     """Subdivide every parent-child segment so consecutive points sit at
     most `step` apart (arc length). Endpoints and topology are preserved;
     ids are renumbered sequentially from 1."""
-    if step <= 0:
-        raise ValidationError(f"resample step must be positive, got {step}")
+    check_positive_finite("resample step", step)
     if m.is_empty():
         return m
     table = m.by_id()

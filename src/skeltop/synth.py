@@ -13,9 +13,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
-from .errors import GenerationError, ValidationError
+from .errors import GenerationError, ValidationError, check_positive_finite
 from .swc import Morphology, SwcRecord
 from .volume import BINARY, PROBABILITY, Volume3D
 
@@ -53,8 +52,7 @@ class SynthSpec:
             raise ValidationError(f"segment_length must satisfy 0 < min <= max, got {self.segment_length!r}")
         if self.n_branch_points < 0:
             raise ValidationError("n_branch_points must be >= 0")
-        if self.tube_radius <= 0:
-            raise ValidationError("tube_radius must be positive")
+        check_positive_finite("tube_radius", self.tube_radius)
         if self.noise_sigma < 0 or self.blur_sigma < 0:
             raise ValidationError("noise_sigma and blur_sigma must be non-negative")
 
@@ -230,6 +228,8 @@ def rasterize(m: Morphology, spec: SynthSpec):
     else:
         field = mask.astype(np.float64)
         if spec.blur_sigma > 0:
+            # imported here so that importing skeltop does not load scipy.ndimage
+            from scipy.ndimage import gaussian_filter
             field = gaussian_filter(field, sigma=spec.blur_sigma, mode="constant", cval=0.0)
         if spec.noise_sigma > 0:
             noise_rng = _rng(spec.seed, STREAM_NOISE)

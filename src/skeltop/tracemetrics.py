@@ -17,39 +17,41 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spatial
-from .errors import UndefinedMetricError, ValidationError
+from .errors import UndefinedMetricError, check_positive_finite
 from .swc import Morphology, resample
 
 DEFAULT_MATCH_THRESHOLD = 2.0
 
 
-def _check_theta(theta):
-    if theta <= 0:
-        raise ValidationError(f"match threshold must be positive, got {theta}")
+def _nearest(a: Morphology, b: Morphology) -> np.ndarray:
+    return spatial.min_dists_to_set(a.node_positions(), b.node_positions())
+
+
+def _dsa(d_pred, theta):
+    mism = d_pred[d_pred > theta]
+    return float(mism.mean()) if len(mism) else 0.0
+
+
+def _pds(d_pred, d_gt, theta):
+    mismatched = int(np.count_nonzero(d_pred > theta)) + int(np.count_nonzero(d_gt > theta))
+    return mismatched / (len(d_pred) + len(d_gt))
 
 
 def esa(pred: Morphology, gt: Morphology) -> float:
     """Mean distance from each prediction node to its nearest reference node."""
     if pred.is_empty() or gt.is_empty():
         raise UndefinedMetricError("esa is undefined for empty traces")
-    dists = spatial.min_dists_to_set(pred.node_positions(), gt.node_positions())
-    return float(dists.mean())
+    return float(_nearest(pred, gt).mean())
 
 
 def dsa(pred: Morphology, gt: Morphology,
         theta: float = DEFAULT_MATCH_THRESHOLD) -> float:
     """Mean nearest-reference distance over prediction nodes farther than
     theta from the reference; 0 when no such node exists."""
-    _check_theta(theta)
+    check_positive_finite("match threshold", theta)
     if gt.is_empty():
         raise UndefinedMetricError("dsa is undefined for an empty reference trace")
-    if pred.is_empty():
-        return 0.0
-    dists = spatial.min_dists_to_set(pred.node_positions(), gt.node_positions())
-    mism = dists[dists > theta]
-    if len(mism) == 0:
-        return 0.0
-    return float(mism.mean())
+    return _dsa(_nearest(pred, gt), theta)
 
 
 def pds(pred: Morphology, gt: Morphology,
@@ -57,16 +59,13 @@ def pds(pred: Morphology, gt: Morphology,
     """Fraction of mismatched nodes over both traces: nodes whose nearest
     neighbor in the other trace is farther than theta. A trace facing an
     empty counterpart counts as fully mismatched."""
-    _check_theta(theta)
+    check_positive_finite("match threshold", theta)
     n_pred, n_gt = len(pred), len(gt)
     if n_pred == 0 and n_gt == 0:
         raise UndefinedMetricError("pds is undefined when both traces are empty")
     if n_pred == 0 or n_gt == 0:
         return 1.0
-    d_pred = spatial.min_dists_to_set(pred.node_positions(), gt.node_positions())
-    d_gt = spatial.min_dists_to_set(gt.node_positions(), pred.node_positions())
-    mismatched = int(np.count_nonzero(d_pred > theta)) + int(np.count_nonzero(d_gt > theta))
-    return mismatched / (n_pred + n_gt)
+    return _pds(_nearest(pred, gt), _nearest(gt, pred), theta)
 
 
 @dataclass(frozen=True)
@@ -94,15 +93,18 @@ class TraceReport:
 def evaluate_trace(pred: Morphology, gt: Morphology,
                    theta: float = DEFAULT_MATCH_THRESHOLD,
                    resample_step: float | None = None) -> TraceReport:
-    """Bundle of esa/dsa/pds; node counts reported after any resampling."""
-    _check_theta(theta)
+    """esa/dsa/pds from one query per direction; node counts after any resampling."""
+    check_positive_finite("match threshold", theta)
     if resample_step is not None:
         pred = resample(pred, resample_step)
         gt = resample(gt, resample_step)
+    if pred.is_empty() or gt.is_empty():
+        raise UndefinedMetricError("esa is undefined for empty traces")
+    d_pred = _nearest(pred, gt)
     return TraceReport(
-        esa=esa(pred, gt),
-        dsa=dsa(pred, gt, theta),
-        pds=pds(pred, gt, theta),
+        esa=float(d_pred.mean()),
+        dsa=_dsa(d_pred, theta),
+        pds=_pds(d_pred, _nearest(gt, pred), theta),
         match_threshold=theta,
         n_pred=len(pred),
         n_gt=len(gt),

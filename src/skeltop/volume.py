@@ -153,11 +153,12 @@ def _read_rawjson(path):
         rawjson.require_field(header, path, name)
     dims = header["dims"]
     if (not isinstance(dims, list) or len(dims) != 3
-            or any(not isinstance(v, int) or v < 1 for v in dims)):
+            or any(type(v) is not int or v < 1 for v in dims)):
         raise ParseError(f"{path}: field 'dims' must be 3 positive integers, got {dims!r}")
     spacing = header["spacing"]
-    if not isinstance(spacing, list) or len(spacing) != 3:
-        raise ParseError(f"{path}: field 'spacing' must be 3 reals, got {spacing!r}")
+    if (not isinstance(spacing, list) or len(spacing) != 3
+            or not all(rawjson.is_finite_number(v) for v in spacing)):
+        raise ParseError(f"{path}: field 'spacing' must be 3 finite reals, got {spacing!r}")
     kind = header["kind"]
     if kind not in _KIND_DTYPE_NAME:
         raise ParseError(f"{path}: field 'kind' must be 'probability' or 'binary', got {kind!r}")

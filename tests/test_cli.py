@@ -11,12 +11,12 @@ from skeltop.inflate import write_tensor
 from skeltop.synth import SynthSpec, generate_tree, rasterize
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args, env_extra=None, timeout=None):
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "skeltop.cli", *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env, timeout=timeout)
 
 
 def assert_one_line_error(res):
@@ -154,6 +154,25 @@ class TestCommands:
                       "--gt", str(workdir / "gt.json"), *flags)
         assert_one_line_error(res)
 
+    @pytest.mark.parametrize("coord", ["nan", "inf"])
+    def test_trace_eval_non_finite_coordinate_exit2(self, workdir, tmp_path, coord):
+        bad = tmp_path / "bad.swc"
+        bad.write_text(f"1 1 0 0 0 1 -1\n2 3 {coord} 0 0 1 1\n")
+        # the timeout turns a hang in the distance search into a failure
+        res = run_cli("trace-eval", "--pred", str(bad), "--gt", str(workdir / "trace.swc"),
+                      timeout=30)
+        assert_one_line_error(res)
+        assert "coordinates must be finite" in res.stderr
+
+    def test_seg_eval_bad_spacing_exit2(self, workdir, tmp_path):
+        header = json.loads((workdir / "gt.json").read_text())
+        header["spacing"] = ["x", 1, 1]
+        (tmp_path / "bad.json").write_text(json.dumps(header))
+        res = run_cli("seg-eval", "--pred", str(tmp_path / "bad.json"),
+                      "--gt", str(workdir / "gt.json"))
+        assert_one_line_error(res)
+        assert "spacing" in res.stderr
+
     @pytest.mark.parametrize("radius", ["nan", "inf"])
     def test_graph_non_finite_radius_exit2(self, workdir, tmp_path, radius):
         res = run_cli("graph", "--in", str(workdir / "gt.json"),
@@ -240,6 +259,23 @@ class TestBatchMode:
         by_stem = {e["stem"]: e for e in json.loads(res.stdout)["results"]}
         assert by_stem["case31"]["total"] == 0.0
         assert "error" in by_stem["broken"]
+
+    @pytest.mark.parametrize("command", ["seg-eval", "tasl"])
+    def test_bad_header_fails_only_its_entry(self, batch_dirs, command):
+        pred_dir, gt_dir = batch_dirs
+        for name, field, value in (("badspacing", "spacing", [1, True, 1]),
+                                   ("baddims", "dims", [True, 20, 20])):
+            for d in (pred_dir, gt_dir):
+                header = json.loads((d / "case31.json").read_text())
+                header[field] = value
+                (d / f"{name}.json").write_text(json.dumps(header))
+        res = run_cli(command, "--pred-dir", str(pred_dir), "--gt-dir", str(gt_dir))
+        assert res.returncode == 0, res.stderr
+        assert "Traceback" not in res.stderr
+        by_stem = {e["stem"]: e for e in json.loads(res.stdout)["results"]}
+        assert "dims" in by_stem["baddims"]["error"]
+        assert "spacing" in by_stem["badspacing"]["error"]
+        assert "error" not in by_stem["case31"] and "error" not in by_stem["case32"]
 
     def test_trace_eval_batch(self, workdir, tmp_path):
         pred_dir = tmp_path / "p"

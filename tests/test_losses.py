@@ -48,6 +48,11 @@ class TestDiceLoss:
         with pytest.raises(ValidationError):
             dice_loss(prob(np.zeros((2, 2, 2))), binary(np.zeros((2, 2, 3))))
 
+    @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf])
+    def test_epsilon_must_be_positive_and_finite(self, eps):
+        with pytest.raises(ValidationError):
+            dice_loss(prob(np.zeros((2, 2, 2))), binary(np.zeros((2, 2, 2))), eps)
+
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=25, deadline=None)
     def test_symmetric_for_binary(self, seed):

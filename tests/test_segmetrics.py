@@ -166,6 +166,21 @@ class TestSegReport:
         assert report.f1 == 100.0
         assert report.hd95_directed == 0.0 and report.hd95_symmetric == 0.0
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_report_equals_separate_hd95_calls(self, seed):
+        # speckled prediction around a solid reference, with and without spacing
+        rng = np.random.default_rng(seed)
+        gt = np.zeros((20, 22, 24), dtype=bool)
+        gt[6:14, 5:17, 4:20] = True
+        pred = (gt & (rng.random(gt.shape) > 0.05)) | (rng.random(gt.shape) < 0.02)
+        spacing = (1.0, 0.5, 2.0)
+        p = Volume3D(pred.astype("u1"), BINARY, spacing)
+        g = Volume3D(gt.astype("u1"), BINARY, spacing)
+        for use_spacing in (False, True):
+            report = evaluate_segmentation(p, g, use_spacing)
+            assert report.hd95_directed == hd95(p, g, "directed", use_spacing)
+            assert report.hd95_symmetric == hd95(p, g, "symmetric", use_spacing)
+
     def test_empty_pred_yields_null_hd95(self):
         m = np.zeros((3, 3, 3))
         m[1, 1, 1] = 1

@@ -86,6 +86,14 @@ class TestEdgeDiscrepancy:
         with pytest.raises(ValidationError):
             edge_discrepancy(g, g, 0.0)
 
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+    def test_non_finite_epsilon_rejected(self, eps):
+        g = self._with_edges(1)
+        with pytest.raises(ValidationError):
+            edge_discrepancy(g, g, eps)
+        with pytest.raises(ValidationError):
+            path_discrepancy(g, g, eps)
+
 
 class TestPathDiscrepancy:
     def test_identical(self):

@@ -50,6 +50,15 @@ class TestParse:
         with pytest.raises(ParseError, match="radius"):
             parse_swc("1 1 0 0 0 0.0 -1\n")
 
+    @pytest.mark.parametrize("line,what", [
+        ("2 3 nan 0 0 1 1", "coordinates"), ("2 3 0 inf 0 1 1", "coordinates"),
+        ("2 3 0 0 -inf 1 1", "coordinates"), ("2 3 0 0 0 nan 1", "radius"),
+        ("2 3 0 0 0 inf 1", "radius"),
+    ])
+    def test_non_finite_fields(self, line, what):
+        with pytest.raises(ParseError, match=f"line 2: {what}"):
+            parse_swc("1 1 0 0 0 1 -1\n" + line + "\n")
+
     def test_parent_before_child_not_required(self):
         m = parse_swc("2 3 1 0 0 1 1\n1 1 0 0 0 1 -1\n")
         assert [r.id for r in m.records] == [1, 2]
@@ -121,6 +130,11 @@ class TestResample:
     def test_invalid_step(self):
         with pytest.raises(ValidationError):
             resample(Morphology(()), 0.0)
+
+    @pytest.mark.parametrize("step", [float("nan"), float("inf")])
+    def test_non_finite_step(self, step):
+        with pytest.raises(ValidationError):
+            resample(Morphology(()), step)
 
 
 class TestMorphologyInvariants:

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skeltop import (Morphology, SwcRecord, UndefinedMetricError, dsa, esa,
-                     evaluate_trace, pds)
+from skeltop import (Morphology, SwcRecord, UndefinedMetricError, ValidationError,
+                     dsa, esa, evaluate_trace, pds, resample)
 
 from conftest import brute_min_dists
 
@@ -159,6 +159,26 @@ class TestEvaluateTrace:
         assert report.resample_step == 1.0
         assert report.n_pred == 9  # 8-long segment resampled at step 1
         assert report.esa == 0.0
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_report_equals_separate_calls(self, seed):
+        rng = np.random.default_rng(seed)
+        gt = random_morphology(200 + seed, 40, span=20.0)
+        pred = path_morphology(gt.node_positions() + rng.normal(0, 1.5, size=(40, 3)))
+        for step in (None, 0.5):
+            report = evaluate_trace(pred, gt, theta=2.0, resample_step=step)
+            p, g = (pred, gt) if step is None else (resample(pred, step), resample(gt, step))
+            assert report.esa == esa(p, g)
+            assert report.dsa == dsa(p, g, 2.0)
+            assert report.pds == pds(p, g, 2.0)
+
+    @pytest.mark.parametrize("theta", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_theta_must_be_positive_and_finite(self, theta):
+        m = random_morphology(103, 5)
+        for call in (lambda: dsa(m, m, theta), lambda: pds(m, m, theta),
+                     lambda: evaluate_trace(m, m, theta=theta)):
+            with pytest.raises(ValidationError):
+                call()
 
     def test_report_params_propagated(self):
         pred = random_morphology(101, 20)

@@ -155,6 +155,21 @@ class TestRawJsonIO:
         with pytest.raises(ParseError, match="spacing"):
             read_volume(str(path))
 
+    @pytest.mark.parametrize("field,text", [
+        ("spacing", '["x", 1, 1]'), ("spacing", "[true, 1, 1]"), ("spacing", "[1, NaN, 1]"),
+        ("spacing", "[1, 1, Infinity]"), ("spacing", "[1e400, 1, 1]"), ("spacing", "[1, 1, null]"),
+        pytest.param("spacing", "[1, 1, 1" + "0" * 400 + "]", id="spacing-integer-beyond-float"),
+        ("dims", "[true, 2, 4]"),
+    ])
+    def test_malformed_dims_or_spacing_entry(self, tmp_path, field, text):
+        header = {"dims": "[2, 2, 2]", "spacing": "[1, 1, 1]", field: text}
+        path = tmp_path / "bad.json"
+        path.write_text(f'{{"dims": {header["dims"]}, "spacing": {header["spacing"]},'
+                        ' "kind": "binary", "dtype": "u8", "data_file": "bad.bin"}')
+        (tmp_path / "bad.bin").write_bytes(bytes(8))
+        with pytest.raises(ParseError, match=field):
+            read_volume(str(path))
+
     def test_kind_dtype_mismatch(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"dims": [2, 2, 2], "spacing": [1, 1, 1], "kind": "binary",'
