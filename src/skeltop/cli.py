@@ -2,18 +2,21 @@
 
 Every command prints one machine-readable JSON document (with a
 ``"schema": 1`` marker) to stdout and diagnostics to stderr. Exit codes:
-0 success, 1 I/O failure, 2 validation or parse failure. Re-running a
-command on identical inputs produces byte-identical JSON.
+0 success, 1 I/O failure, 2 validation or parse failure. A result that
+is NaN or infinite is a validation failure, since JSON cannot carry it.
+Re-running a command on identical inputs produces byte-identical JSON.
 
 ``seg-eval``, ``trace-eval`` and ``tasl`` also accept ``--pred-dir`` /
 ``--gt-dir`` batch mode: files are paired by stem, entries are isolated
-(a malformed file only fails its own entry), results are emitted in
-sorted stem order, and the ``SKELTOP_THREADS`` environment variable caps
-the worker pool.
+(a malformed file only fails its own entry, with an ``error`` message and
+an ``error_kind`` of ``parse``, ``validation`` or ``io``), results are
+emitted in sorted stem order, and the ``SKELTOP_THREADS`` environment
+variable caps the worker pool.
 """
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -23,7 +26,7 @@ import numpy as np
 from . import inflate as inflate_mod
 from . import swc as swc_mod
 from . import synth as synth_mod
-from .errors import SkeltopError, ValidationError
+from .errors import ParseError, SkeltopError, ValidationError
 from .losses import DeepSupervisionConfig, ScaleLoss, default_scale_weights, total_loss
 from .segmetrics import evaluate_segmentation
 from .skeleton import graph_from_skeleton, skeletonize
@@ -52,8 +55,15 @@ def _binarize(vol: Volume3D, tau: float) -> Volume3D:
     return threshold(vol, tau) if vol.kind == PROBABILITY else vol
 
 
-def _emit(payload) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+def _dumps(payload) -> str:
+    """The JSON text of `payload`; a NaN or infinity is a ValidationError,
+    since JSON has no such numbers."""
+    try:
+        return json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError:
+        bad = [k for k, v in payload.items() if isinstance(v, float) and not math.isfinite(v)]
+        raise ValidationError(
+            f"result {', '.join(bad) or 'value'}: not finite, which JSON cannot represent") from None
 
 
 def _stems(directory, extensions):
@@ -72,11 +82,16 @@ def _run_batch(args, extensions, evaluate_pair):
 
     def run_one(stem):
         if stem not in gt_stems:
-            return {"stem": stem, "error": "no matching ground-truth file"}
+            return {"stem": stem, "error": "no matching ground-truth file", "error_kind": "io"}
         try:
             result = evaluate_pair(pred_stems[stem], gt_stems[stem])
-        except (SkeltopError, OSError) as exc:
-            return {"stem": stem, "error": str(exc)}
+            _dumps(result)
+        except ParseError as exc:
+            return {"stem": stem, "error": str(exc), "error_kind": "parse"}
+        except SkeltopError as exc:
+            return {"stem": stem, "error": str(exc), "error_kind": "validation"}
+        except OSError as exc:
+            return {"stem": stem, "error": str(exc), "error_kind": "io"}
         return {"stem": stem, **result}
 
     with ThreadPoolExecutor(max_workers=_thread_cap()) as pool:
@@ -343,14 +358,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        payload = args.handler(args, parser)
+        text = _dumps(args.handler(args, parser))
     except SkeltopError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 1
-    _emit(payload)
+    sys.stdout.write(text + "\n")
     return 0
 
 

@@ -2,7 +2,9 @@
 
 Both volumes and weight tensors are stored as a small `.json` header next
 to a flat little-endian binary payload. The header names the payload file
-via `data_file` (resolved relative to the header's directory).
+via `data_file`, a relative path resolved against the header's
+directory; absolute paths and `..` components are rejected, so a header
+can only name a payload in its own directory or below it.
 """
 
 import json
@@ -50,6 +52,11 @@ def read_payload(path, header, count):
         raise ParseError(
             f"{path}: field 'dtype' must be one of {sorted(DTYPES)}, got {dtype_name!r}")
     data_file = require_field(header, path, "data_file")
+    if (not isinstance(data_file, str) or "\0" in data_file or os.path.isabs(data_file)
+            or ".." in data_file.replace("\\", "/").split("/")):
+        raise ParseError(
+            f"{path}: field 'data_file' must be a relative path inside the header's "
+            f"directory, got {data_file!r}")
     payload_path = os.path.join(os.path.dirname(os.path.abspath(path)), data_file)
     dtype = DTYPES[dtype_name]
     with open(payload_path, "rb") as fh:

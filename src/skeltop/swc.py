@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError, check_positive_finite
+from .errors import ParseError, ValidationError, check_positive_finite
 
 
 @dataclass(frozen=True)
@@ -146,52 +146,84 @@ def save_swc(m: Morphology, path: str) -> None:
         fh.write(write_swc(m))
 
 
+# Resampling past this many nodes is refused rather than attempted.
+MAX_RESAMPLED_NODES = 10 ** 8
+
+
+def resample_arrays(m: Morphology, step: float):
+    """The nodes of ``resample(m, step)`` as arrays, row i being new id i + 1.
+
+    Returns (positions (n, 3) float64, radii (n,) float64, parents (n,)
+    int64 new ids with -1 for roots, sources (n,) int64 indices into
+    ``m.records`` of the node each row is or lies before). Rows follow a
+    preorder walk from the roots, children in ascending id order, with
+    each segment's interior points just before its child node.
+    """
+    check_positive_finite("resample step", step)
+    recs = m.records
+    row_of = {r.id: i for i, r in enumerate(recs)}
+    children = [[] for _ in recs]
+    roots = []
+    for i, r in enumerate(recs):
+        if r.parent == -1:
+            roots.append(i)
+        else:
+            children[row_of[r.parent]].append(i)
+    order = []  # preorder; records are in id order, so children lists ascend
+    stack = roots[::-1]
+    while stack:
+        i = stack.pop()
+        order.append(i)
+        stack.extend(reversed(children[i]))
+    walk = [recs[i] for i in order]
+    k_of = {r.id: k for k, r in enumerate(walk)}
+    up = np.array([-1 if r.parent == -1 else k_of[r.parent] for r in walk], dtype=np.int64)
+    xyz = np.array([r.position() for r in walk], dtype=np.float64).reshape(-1, 3)
+    radius = np.array([r.radius for r in walk], dtype=np.float64)
+
+    child = np.flatnonzero(up >= 0)
+    d = xyz[child] - xyz[up[child]]
+    # ((end - start) ** 2).sum() term by term, in the same order; inf past the float range
+    with np.errstate(over="ignore"):
+        length = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2])
+    count = np.ones(len(order))  # rows per node: its n_seg - 1 interior points, then itself
+    count[child] = np.maximum(1.0, np.ceil(length / step))
+    if not count.sum() <= MAX_RESAMPLED_NODES:
+        raise ValidationError(
+            f"resampling at step {step} would give {count.sum():.4g} nodes; "
+            f"at most {MAX_RESAMPLED_NODES} are supported")
+    count = count.astype(np.int64)
+    own = np.cumsum(count) - 1  # each node's own row
+    first = own - count + 1     # the first row of its block
+    n = int(count.sum())
+
+    seg = np.repeat(np.arange(len(order)), count - 1)  # node whose block holds each interior row
+    inner = np.arange(len(seg)) + seg  # interior rows, skipping one own row per earlier node
+    t = (inner - first[seg] + 1) / count[seg]  # i / n_seg
+    a = up[seg]
+    positions = np.empty((n, 3))
+    positions[own] = xyz
+    positions[inner] = xyz[a] + t[:, None] * (xyz[seg] - xyz[a])
+    radii = np.empty(n)
+    radii[own] = radius
+    radii[inner] = radius[a] + t * (radius[seg] - radius[a])
+    parents = np.arange(n, dtype=np.int64)  # the id of the row before is this row's index
+    parents[first[child]] = own[up[child]] + 1
+    parents[own[up < 0]] = -1
+    sources = np.asarray(order, dtype=np.int64)[np.repeat(np.arange(len(order)), count)]
+    return positions, radii, parents, sources
+
+
 def resample(m: Morphology, step: float) -> Morphology:
     """Subdivide every parent-child segment so consecutive points sit at
     most `step` apart (arc length). Endpoints and topology are preserved;
-    ids are renumbered sequentially from 1."""
-    check_positive_finite("resample step", step)
+    ids are renumbered sequentially from 1 in the order of
+    :func:`resample_arrays`."""
+    positions, radii, parents, sources = resample_arrays(m, step)
     if m.is_empty():
         return m
-    table = m.by_id()
-    children = {r.id: [] for r in m.records}
-    roots = []
-    for r in m.records:
-        if r.parent == -1:
-            roots.append(r.id)
-        else:
-            children[r.parent].append(r.id)
-    new_records = []
-    new_id_of = {}
-    counter = 1
-
-    def emit(type_code, x, y, z, radius, parent_new):
-        nonlocal counter
-        rec = SwcRecord(counter, type_code, x, y, z, radius, parent_new)
-        new_records.append(rec)
-        counter += 1
-        return rec.id
-
-    stack = [(rid, None) for rid in reversed(roots)]
-    while stack:
-        rid, parent_new = stack.pop()
-        rec = table[rid]
-        if parent_new is None:
-            new_id_of[rid] = emit(rec.type_code, rec.x, rec.y, rec.z, rec.radius, -1)
-        else:
-            parent = table[table[rid].parent]
-            start = np.array(parent.position())
-            end = np.array(rec.position())
-            length = float(np.sqrt(((end - start) ** 2).sum()))
-            n_seg = max(1, int(np.ceil(length / step))) if length > 0 else 1
-            last = parent_new
-            for i in range(1, n_seg):
-                t = i / n_seg
-                p = start + t * (end - start)
-                radius = parent.radius + t * (rec.radius - parent.radius)
-                last = emit(rec.type_code, float(p[0]), float(p[1]), float(p[2]),
-                            float(radius), last)
-            new_id_of[rid] = emit(rec.type_code, rec.x, rec.y, rec.z, rec.radius, last)
-        for child in sorted(children[rid], reverse=True):
-            stack.append((child, new_id_of[rid]))
-    return Morphology(tuple(new_records))
+    codes = [r.type_code for r in m.records]
+    return Morphology(tuple(
+        SwcRecord(i, codes[s], x, y, z, r, p)
+        for i, ((x, y, z), r, p, s) in enumerate(
+            zip(positions.tolist(), radii.tolist(), parents.tolist(), sources.tolist()), start=1)))

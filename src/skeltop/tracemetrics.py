@@ -18,7 +18,7 @@ import numpy as np
 
 from . import spatial
 from .errors import UndefinedMetricError, check_positive_finite
-from .swc import Morphology, resample
+from .swc import Morphology, resample_arrays
 
 DEFAULT_MATCH_THRESHOLD = 2.0
 
@@ -95,18 +95,20 @@ def evaluate_trace(pred: Morphology, gt: Morphology,
                    resample_step: float | None = None) -> TraceReport:
     """esa/dsa/pds from one query per direction; node counts after any resampling."""
     check_positive_finite("match threshold", theta)
-    if resample_step is not None:
-        pred = resample(pred, resample_step)
-        gt = resample(gt, resample_step)
-    if pred.is_empty() or gt.is_empty():
+    if resample_step is None:
+        p_xyz, g_xyz = pred.node_positions(), gt.node_positions()
+    else:
+        p_xyz = resample_arrays(pred, resample_step)[0]
+        g_xyz = resample_arrays(gt, resample_step)[0]
+    if not (len(p_xyz) and len(g_xyz)):
         raise UndefinedMetricError("esa is undefined for empty traces")
-    d_pred = _nearest(pred, gt)
+    d_pred = spatial.min_dists_to_set(p_xyz, g_xyz)
     return TraceReport(
         esa=float(d_pred.mean()),
         dsa=_dsa(d_pred, theta),
-        pds=_pds(d_pred, _nearest(gt, pred), theta),
+        pds=_pds(d_pred, spatial.min_dists_to_set(g_xyz, p_xyz), theta),
         match_threshold=theta,
-        n_pred=len(pred),
-        n_gt=len(gt),
+        n_pred=len(p_xyz),
+        n_gt=len(g_xyz),
         resample_step=resample_step,
     )

@@ -46,11 +46,11 @@ class Volume3D:
             raise ValidationError(f"spacing must be 3 positive reals, got {self.spacing!r}")
         arr = np.asarray(arr, dtype=_KIND_DTYPE[self.kind])
         if self.kind == PROBABILITY:
-            if arr.size and (float(arr.min()) < 0.0 or float(arr.max()) > 1.0):
-                raise ValidationError("probability volume has values outside [0, 1]")
-        else:
-            if arr.size and not np.isin(arr, (0, 1)).all():
-                raise ValidationError("binary volume has values outside {0, 1}")
+            lo, hi = float(arr.min()), float(arr.max())
+            if not (lo >= 0.0 and hi <= 1.0):  # NaN fails both comparisons
+                raise ValidationError("probability volume has values outside [0, 1] or NaN")
+        elif arr.max() > 1:  # uint8: the only values that are not 0 or 1 exceed 1
+            raise ValidationError("binary volume has values outside {0, 1}")
         arr = np.ascontiguousarray(arr).copy()  # own the buffer before freezing
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
@@ -94,17 +94,17 @@ def surface_voxel_array(mask: Volume3D) -> np.ndarray:
     """Foreground voxels with at least one 6-neighbor that is background
     or outside the volume, as an (n, 3) int array in (z, y, x) order."""
     _require_binary(mask, "surface extraction")
-    m = mask.bool_data()
-    padded = np.zeros((m.shape[0] + 2, m.shape[1] + 2, m.shape[2] + 2), dtype=bool)
-    padded[1:-1, 1:-1, 1:-1] = m
-    interior = np.ones_like(m)
-    for axis in range(3):
-        lo = [slice(1, -1)] * 3
-        hi = [slice(1, -1)] * 3
-        lo[axis] = slice(0, -2)
-        hi[axis] = slice(2, None)
-        interior &= padded[tuple(lo)] & padded[tuple(hi)]
-    return np.argwhere(m & ~interior)
+    padded = np.zeros(tuple(n + 2 for n in mask.dims), dtype=bool)
+    padded[1:-1, 1:-1, 1:-1] = mask.data
+    flat = padded.ravel()
+    fg = np.flatnonzero(flat)  # ascending flat index is argwhere order
+    _, h, w = padded.shape
+    exposed = np.zeros(len(fg), dtype=bool)
+    for offset in (1, w, h * w):
+        exposed |= ~flat[fg - offset]
+        exposed |= ~flat[fg + offset]
+    z, y, x = np.unravel_index(fg[exposed], padded.shape)
+    return np.stack((z - 1, y - 1, x - 1), axis=1)
 
 
 def surface_voxels(mask: Volume3D) -> set:

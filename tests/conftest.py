@@ -3,8 +3,9 @@ independent brute-force oracles used to cross-check accelerated paths."""
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from skeltop import BINARY, Volume3D
+from skeltop import BINARY, Morphology, SwcRecord, Volume3D
 
 
 def stamp_capsule(mask, pa, pb, radius):
@@ -137,3 +138,25 @@ def has_2x2x2_block(mask_bool):
     s = mask_bool
     return bool((s[:-1, :-1, :-1] & s[1:, :-1, :-1] & s[:-1, 1:, :-1] & s[:-1, :-1, 1:]
                  & s[1:, 1:, :-1] & s[1:, :-1, 1:] & s[:-1, 1:, 1:] & s[1:, 1:, 1:]).any())
+
+
+@st.composite
+def forests(draw, max_nodes=24, span=20.0):
+    """SWC forests for differential tests: unsorted, non-contiguous ids, parents
+    with larger or smaller ids than their children, several roots, random float
+    coordinates and zero-length segments; records come in shuffled order."""
+    n = draw(st.integers(1, max_nodes))
+    ids = draw(st.lists(st.integers(0, 10 ** 6), min_size=n, max_size=n, unique=True))
+    coord = st.floats(-span, span, allow_nan=False, allow_infinity=False)
+    records = []
+    for k, node_id in enumerate(ids):
+        parent = -1 if k == 0 or draw(st.integers(0, 5)) == 0 else ids[draw(st.integers(0, k - 1))]
+        if parent != -1 and draw(st.integers(0, 6)) == 0:  # zero-length segment
+            p = records[ids.index(parent)]
+            xyz = (p.x, p.y, p.z)
+        else:
+            xyz = tuple(draw(coord) for _ in range(3))
+        records.append(SwcRecord(node_id, draw(st.integers(0, 7)), *xyz,
+                                 draw(st.floats(0.01, 8.0)), parent))
+    order = draw(st.permutations(range(n)))
+    return Morphology(tuple(records[i] for i in order))

@@ -27,6 +27,21 @@ def assert_one_line_error(res):
     assert res.stdout == ""
 
 
+def write_raw_volume(header_path, data, data_file=None):
+    """RawJson volume written field by field, so payloads Volume3D would reject
+    (NaN probabilities) and any `data_file` value reach the reader."""
+    header_path = str(header_path)
+    data_file = data_file or os.path.basename(header_path)[:-5] + ".bin"
+    kind, dtype = ("probability", "f32") if data.dtype.kind == "f" else ("binary", "u8")
+    with open(header_path, "w", encoding="utf-8") as fh:
+        json.dump({"dims": list(data.shape), "spacing": [1.0, 1.0, 1.0], "kind": kind,
+                   "dtype": dtype, "data_file": data_file}, fh)
+    payload = os.path.join(os.path.dirname(header_path), data_file)
+    if not os.path.isabs(data_file) and ".." not in data_file:
+        with open(payload, "wb") as fh:
+            fh.write(data.astype("<f4" if kind == "probability" else "u1").tobytes())
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
@@ -173,6 +188,54 @@ class TestCommands:
         assert_one_line_error(res)
         assert "spacing" in res.stderr
 
+    def test_seg_eval_nan_probability_exit2(self, workdir, tmp_path):
+        write_raw_volume(tmp_path / "nan.json", np.full((24, 26, 26), np.nan, dtype="<f4"))
+        res = run_cli("seg-eval", "--pred", str(tmp_path / "nan.json"),
+                      "--gt", str(workdir / "gt.json"))
+        assert_one_line_error(res)
+        assert "NaN" in res.stderr
+
+    @pytest.mark.parametrize("data_file", ["../gt.bin", "ABS"])
+    def test_data_file_outside_header_directory_exit2(self, workdir, tmp_path, data_file):
+        if data_file == "ABS":
+            data_file = str(workdir / "gt.bin")
+        (tmp_path / "sub").mkdir()
+        header = json.loads((workdir / "gt.json").read_text())
+        header["data_file"] = data_file
+        (tmp_path / "sub" / "gt.json").write_text(json.dumps(header))
+        (tmp_path / "gt.bin").write_bytes((workdir / "gt.bin").read_bytes())
+        res = run_cli("seg-eval", "--pred", str(tmp_path / "sub" / "gt.json"),
+                      "--gt", str(workdir / "gt.json"))
+        assert_one_line_error(res)
+        assert "data_file" in res.stderr
+        header = json.loads((workdir / "k2d.json").read_text())
+        header["data_file"] = "../k2d.bin"
+        (tmp_path / "sub" / "k2d.json").write_text(json.dumps(header))
+        (tmp_path / "k2d.bin").write_bytes((workdir / "k2d.bin").read_bytes())
+        res = run_cli("inflate", "--kernel", str(tmp_path / "sub" / "k2d.json"), "--kd", "3",
+                      "--out", str(tmp_path / "k3d.json"))
+        assert_one_line_error(res)
+        assert "data_file" in res.stderr
+
+    def test_trace_eval_non_finite_result_exit2(self, workdir, tmp_path):
+        far = tmp_path / "far.swc"
+        far.write_text("1 1 0 0 0 1 -1\n2 3 1e300 0 0 1 1\n")
+        res = run_cli("trace-eval", "--pred", str(far), "--gt", str(workdir / "trace.swc"))
+        assert_one_line_error(res)
+        assert "esa, dsa" in res.stderr and "not finite" in res.stderr
+        res = run_cli("trace-eval", "--pred", str(far), "--gt", str(workdir / "trace.swc"),
+                      "--resample", "0.5", timeout=30)
+        assert_one_line_error(res)
+        assert "nodes" in res.stderr
+
+    def test_loss_infinite_total_exit2(self, tmp_path):
+        path = tmp_path / "scales.json"
+        path.write_text(json.dumps({"scale_weights": [1.0],
+                                    "scales": [{"dice": 0.5, "ce": 1e308, "tasl": 1e308}]}))
+        res = run_cli("loss", "--scales", str(path))
+        assert_one_line_error(res)
+        assert "total" in res.stderr
+
     @pytest.mark.parametrize("radius", ["nan", "inf"])
     def test_graph_non_finite_radius_exit2(self, workdir, tmp_path, radius):
         res = run_cli("graph", "--in", str(workdir / "gt.json"),
@@ -276,6 +339,52 @@ class TestBatchMode:
         assert "dims" in by_stem["baddims"]["error"]
         assert "spacing" in by_stem["badspacing"]["error"]
         assert "error" not in by_stem["case31"] and "error" not in by_stem["case32"]
+
+    def test_error_kind(self, batch_dirs, workdir):
+        pred_dir, gt_dir = batch_dirs
+        good = {e["stem"]: e for e in json.loads(run_cli(
+            "seg-eval", "--pred-dir", str(pred_dir), "--gt-dir", str(gt_dir)).stdout)["results"]}
+        write_raw_volume(pred_dir / "nan.json", np.full((18, 20, 20), np.nan, dtype="<f4"))
+        write_raw_volume(pred_dir / "escape.json", np.zeros((18, 20, 20), dtype="u1"),
+                         data_file="../gt/case31.bin")
+        write_raw_volume(pred_dir / "nopayload.json", np.zeros((18, 20, 20), dtype="u1"))
+        os.remove(pred_dir / "nopayload.bin")
+        write_raw_volume(pred_dir / "small.json", np.zeros((4, 4, 4), dtype="u1"))
+        for stem in ("nan", "escape", "nopayload", "small"):
+            (gt_dir / f"{stem}.json").write_text((gt_dir / "case31.json").read_text())
+            (gt_dir / f"{stem}.bin").write_bytes((gt_dir / "case31.bin").read_bytes())
+            header = json.loads((gt_dir / f"{stem}.json").read_text())
+            header["data_file"] = f"{stem}.bin"
+            (gt_dir / f"{stem}.json").write_text(json.dumps(header))
+        res = run_cli("seg-eval", "--pred-dir", str(pred_dir), "--gt-dir", str(gt_dir))
+        assert res.returncode == 0, res.stderr
+        assert "Traceback" not in res.stderr
+        by_stem = {e["stem"]: e for e in json.loads(res.stdout)["results"]}
+        kinds = {stem: e.get("error_kind") for stem, e in by_stem.items()}
+        assert kinds == {"broken": "parse", "orphan": "io", "nan": "parse", "escape": "parse",
+                         "nopayload": "io", "small": "validation",
+                         "case31": None, "case32": None}
+        assert by_stem["orphan"]["error"] == "no matching ground-truth file"
+        assert "NaN" in by_stem["nan"]["error"] and "data_file" in by_stem["escape"]["error"]
+        for stem in ("broken", "orphan", "case31", "case32"):
+            assert by_stem[stem] == {**good[stem], **(
+                {"error_kind": kinds[stem]} if "error" in good[stem] else {})}
+
+    def test_trace_eval_batch_non_finite_entry(self, tmp_path):
+        pred_dir, gt_dir = tmp_path / "p", tmp_path / "g"
+        pred_dir.mkdir()
+        gt_dir.mkdir()
+        for d in (pred_dir, gt_dir):
+            (d / "a.swc").write_text("1 1 0 0 0 1 -1\n2 3 3 0 0 1 1\n")
+            (d / "far.swc").write_text("1 1 0 0 0 1 -1\n2 3 3 0 0 1 1\n")
+        (pred_dir / "far.swc").write_text("1 1 0 0 0 1 -1\n2 3 1e300 0 0 1 1\n")
+        res = run_cli("trace-eval", "--pred-dir", str(pred_dir), "--gt-dir", str(gt_dir))
+        assert res.returncode == 0, res.stderr
+        assert "Infinity" not in res.stdout and "NaN" not in res.stdout
+        by_stem = {e["stem"]: e for e in json.loads(res.stdout)["results"]}
+        assert by_stem["far"]["error_kind"] == "validation"
+        assert "not finite" in by_stem["far"]["error"]
+        assert by_stem["a"]["esa"] == 0.0 and "error" not in by_stem["a"]
 
     def test_trace_eval_batch(self, workdir, tmp_path):
         pred_dir = tmp_path / "p"

@@ -202,6 +202,15 @@ class TestTensorIO:
         with pytest.raises(ParseError, match="4 axes"):
             read_kernel2d(path)
 
+    @pytest.mark.parametrize("data_file", ["../k.bin", "/tmp/k.bin"])
+    def test_data_file_outside_header_directory(self, tmp_path, data_file):
+        (tmp_path / "k.bin").write_bytes(b"\x00" * 16)
+        (tmp_path / "sub").mkdir()
+        path = tmp_path / "sub" / "k.json"
+        path.write_text(f'{{"shape": [2, 2], "dtype": "f32", "data_file": "{data_file}"}}')
+        with pytest.raises(ParseError, match="data_file"):
+            read_tensor(str(path))
+
     def test_payload_size_mismatch(self, tmp_path):
         path = tmp_path / "k.json"
         path.write_text('{"shape": [2, 2], "dtype": "f32", "data_file": "k.bin"}')

@@ -1,9 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import resample_reference
 from skeltop import (Morphology, ParseError, SwcRecord, ValidationError,
                      parse_swc, resample, write_swc)
+from skeltop.swc import MAX_RESAMPLED_NODES, resample_arrays
 from skeltop.synth import SynthSpec, generate_tree
+
+from conftest import forests
+
+# below a segment, across segments, and past any tree forests() draws
+STEPS = st.one_of(st.floats(0.05, 2.0), st.floats(2.0, 100.0), st.floats(1e4, 1e9))
 
 
 class TestParse:
@@ -135,6 +144,63 @@ class TestResample:
     def test_non_finite_step(self, step):
         with pytest.raises(ValidationError):
             resample(Morphology(()), step)
+
+
+def assert_matches_reference(m, step):
+    """resample_arrays and resample reproduce the reference bit for bit."""
+    ref = resample_reference.resample(m, step)
+    positions, radii, parents, sources = resample_arrays(m, step)
+    n = len(ref)
+    assert positions.shape == (n, 3) and positions.dtype == np.float64
+    assert positions.tobytes() == ref.node_positions().tobytes()
+    assert radii.tobytes() == np.array([r.radius for r in ref.records], dtype=np.float64).tobytes()
+    assert np.array_equal(parents, [r.parent for r in ref.records])
+    assert [m.records[s].type_code for s in sources] == [r.type_code for r in ref.records]
+    assert [r.id for r in ref.records] == list(range(1, n + 1))
+    out = resample(m, step)
+    assert out.records == ref.records
+    assert write_swc(out) == write_swc(ref)
+
+
+class TestResampleMatchesReference:
+    @settings(max_examples=60, deadline=None)
+    @given(m=forests(), step=STEPS)
+    def test_random_forests(self, m, step):
+        assert_matches_reference(m, step)
+
+    @pytest.mark.parametrize("step", [0.05, 0.25, 1.0, 7.0, 1e6])
+    def test_single_node(self, step):
+        m = parse_swc("42 3 1.5 -2.25 3.0 0.5 -1\n")
+        assert_matches_reference(m, step)
+        assert resample(m, step).records == (SwcRecord(1, 3, 1.5, -2.25, 3.0, 0.5, -1),)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_synth_trees(self, seed):
+        tree = generate_tree(SynthSpec(seed=seed, dims=(40, 40, 40), n_branch_points=seed % 5))
+        for step in (0.05, 0.25, 1.0, 3.0):
+            assert_matches_reference(tree, step)
+
+    def test_step_dividing_segment_length(self):
+        # length / step lands on an integer, where a length rounded differently
+        # from the reference would change the number of pieces
+        rng = np.random.default_rng(5)
+        for end in rng.normal(0.0, 10.0, size=(300, 3)):
+            m = Morphology((SwcRecord(1, 1, 0.5, -1.25, 2.0, 1.0, -1),
+                            SwcRecord(2, 3, *(float(v) for v in end), 2.0, 1)))
+            length = float(np.sqrt(((end - np.array([0.5, -1.25, 2.0])) ** 2).sum()))
+            for k in (1, 2, 3, 5, 7):
+                assert_matches_reference(m, length / k)
+
+    def test_empty(self):
+        m = Morphology(())
+        assert resample(m, 0.5) is m
+        assert [len(a) for a in resample_arrays(m, 0.5)] == [0, 0, 0, 0]
+
+    def test_too_many_nodes_refused(self):
+        m = parse_swc("1 1 0 0 0 1 -1\n2 3 1e300 0 0 1 1\n")
+        for step in (0.5, 1e300 / (2 * MAX_RESAMPLED_NODES)):
+            with pytest.raises(ValidationError, match="nodes"):
+                resample_arrays(m, step)
 
 
 class TestMorphologyInvariants:

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import resample_reference
 from skeltop import (Morphology, SwcRecord, UndefinedMetricError, ValidationError,
                      dsa, esa, evaluate_trace, pds, resample)
 
-from conftest import brute_min_dists
+from conftest import brute_min_dists, forests
 
 
 def path_morphology(points):
@@ -171,6 +172,29 @@ class TestEvaluateTrace:
             assert report.esa == esa(p, g)
             assert report.dsa == dsa(p, g, 2.0)
             assert report.pds == pds(p, g, 2.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(pred=forests(), gt=forests(),
+           step=st.one_of(st.none(), st.floats(0.05, 2.0), st.floats(2.0, 100.0),
+                          st.floats(1e4, 1e9)),
+           theta=st.floats(0.1, 10.0))
+    def test_matches_reference_resampling(self, pred, gt, step, theta):
+        report = evaluate_trace(pred, gt, theta=theta, resample_step=step)
+        p, g = (pred, gt) if step is None else (resample_reference.resample(pred, step),
+                                                resample_reference.resample(gt, step))
+        d_pred = brute_min_dists(p.node_positions(), g.node_positions())
+        d_gt = brute_min_dists(g.node_positions(), p.node_positions())
+        mism = d_pred[d_pred > theta]
+        assert report.esa == float(d_pred.mean())
+        assert report.dsa == (float(mism.mean()) if len(mism) else 0.0)
+        assert report.pds == (len(mism) + int((d_gt > theta).sum())) / (len(p) + len(g))
+        assert (report.n_pred, report.n_gt) == (len(p), len(g))
+
+    def test_empty_trace_with_resampling(self):
+        m = random_morphology(104, 5)
+        for pred, gt in ((Morphology(()), m), (m, Morphology(()))):
+            with pytest.raises(UndefinedMetricError):
+                evaluate_trace(pred, gt, resample_step=0.5)
 
     @pytest.mark.parametrize("theta", [float("nan"), float("inf"), 0.0, -1.0])
     def test_theta_must_be_positive_and_finite(self, theta):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,28 @@ from skeltop import (BINARY, PROBABILITY, ParseError, ValidationError,
 from skeltop.volume import surface_voxel_array
 
 from conftest import brute_surface_voxels
+
+
+def slice_surface_voxel_array(m):
+    """Reference surface extraction: six shifted slices of the padded mask,
+    then argwhere over the whole volume."""
+    padded = np.zeros((m.shape[0] + 2, m.shape[1] + 2, m.shape[2] + 2), dtype=bool)
+    padded[1:-1, 1:-1, 1:-1] = m
+    interior = np.ones_like(m)
+    for axis in range(3):
+        lo = [slice(1, -1)] * 3
+        hi = [slice(1, -1)] * 3
+        lo[axis] = slice(0, -2)
+        hi[axis] = slice(2, None)
+        interior &= padded[tuple(lo)] & padded[tuple(hi)]
+    return np.argwhere(m & ~interior)
+
+
+def assert_surface_matches_reference(m):
+    got = surface_voxel_array(binary_volume(m))
+    want = slice_surface_voxel_array(np.asarray(m, dtype=bool))
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
 
 
 def prob_volume(values):
@@ -31,6 +55,42 @@ class TestVolume3D:
             Volume3D(np.zeros((2, 2, 2), dtype="u1"), BINARY, spacing=(0, 1, 1))
         with pytest.raises(ValidationError):
             Volume3D(np.zeros((2, 2, 2), dtype="u1"), "labels")
+
+    @pytest.mark.parametrize("bad", [2, 7, 128, 255])
+    def test_binary_values_above_one_rejected(self, bad):
+        m = np.zeros((3, 4, 5), dtype="u1")
+        m[2, 3, 4] = bad
+        with pytest.raises(ValidationError, match="binary"):
+            Volume3D(m, BINARY)
+
+    @pytest.mark.parametrize("values", [np.zeros((2, 3, 4)), np.ones((2, 3, 4)),
+                                        np.eye(4).reshape(1, 4, 4), [[[0.0, 0.7, 1.0]]],
+                                        np.array([[[-1, 256, 1]]])])
+    def test_binary_check_matches_isin_on_the_cast(self, values):
+        cast = np.asarray(np.asarray(values), dtype="u1")
+        if np.isin(cast, (0, 1)).all():
+            assert np.array_equal(Volume3D(values, BINARY).data, cast)
+        else:
+            with pytest.raises(ValidationError, match="binary"):
+                Volume3D(values, BINARY)
+
+    @pytest.mark.parametrize("kind", [BINARY, PROBABILITY])
+    def test_empty_sized_volume_rejected(self, kind):
+        for shape in [(0, 2, 2), (2, 0, 2), (2, 2, 0)]:
+            with pytest.raises(ValidationError, match="dims must be positive"):
+                Volume3D(np.zeros(shape), kind)
+
+    @pytest.mark.parametrize("fill", [float("nan"), -0.001, 1.001, float("inf"), float("-inf")])
+    def test_probability_outside_unit_interval_or_nan_rejected(self, fill):
+        for count in (1, 8):
+            data = np.full((2, 2, 2), 0.5, dtype="<f4")
+            data.ravel()[:count] = fill
+            with pytest.raises(ValidationError, match="probability"):
+                Volume3D(data, PROBABILITY)
+
+    def test_probability_bounds_accepted(self):
+        vol = prob_volume([[[0.0, 1.0], [0.5, 0.25]]])
+        assert vol.data.min() == 0.0 and vol.data.max() == 1.0
 
     def test_data_is_immutable(self):
         vol = binary_volume(np.zeros((3, 3, 3)))
@@ -119,6 +179,29 @@ class TestSurfaceVoxels:
         assert surf == brute_surface_voxels(m)
 
 
+class TestSurfaceMatchesReference:
+    @settings(max_examples=40, deadline=None)
+    @given(dims=st.tuples(*[st.integers(1, 24)] * 3), seed=st.integers(0, 2 ** 32 - 1),
+           density=st.floats(0.0, 1.0))
+    def test_random_masks(self, dims, seed, density):
+        assert_surface_matches_reference(np.random.default_rng(seed).random(dims) < density)
+
+    @pytest.mark.parametrize("dims", [(1, 1, 1), (24, 24, 24), (1, 7, 9), (7, 1, 9), (7, 9, 1),
+                                      (1, 1, 12), (12, 1, 1), (3, 4, 5)])
+    def test_empty_and_full(self, dims):
+        assert_surface_matches_reference(np.zeros(dims, dtype=bool))
+        assert_surface_matches_reference(np.ones(dims, dtype=bool))
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_one_voxel_thick_slab(self, axis):
+        m = np.zeros((9, 10, 11), dtype=bool)
+        index = [slice(1, -1)] * 3
+        index[axis] = 4
+        m[tuple(index)] = True
+        assert_surface_matches_reference(m)
+        assert len(surface_voxel_array(binary_volume(m))) == m.sum()
+
+
 class TestRawJsonIO:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(99)
@@ -169,6 +252,35 @@ class TestRawJsonIO:
         (tmp_path / "bad.bin").write_bytes(bytes(8))
         with pytest.raises(ParseError, match=field):
             read_volume(str(path))
+
+    def test_nan_probability_payload(self, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text('{"dims": [2, 2, 2], "spacing": [1, 1, 1], "kind": "probability",'
+                        ' "dtype": "f32", "data_file": "nan.bin"}')
+        (tmp_path / "nan.bin").write_bytes(np.full(8, np.nan, dtype="<f4").tobytes())
+        with pytest.raises(ParseError, match="NaN"):
+            read_volume(str(path))
+
+    @pytest.mark.parametrize("data_file", ["../out/m.bin", "sub/../../m.bin", "..", "/abs/m.bin",
+                                           "..\\m.bin", 7, None, ["m.bin"], "m\u0000.bin"])
+    def test_data_file_outside_header_directory(self, tmp_path, data_file):
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "m.bin").write_bytes(bytes(8))
+        inner = tmp_path / "in"
+        inner.mkdir()
+        path = inner / "m.json"
+        path.write_text(json.dumps({"dims": [2, 2, 2], "spacing": [1, 1, 1], "kind": "binary",
+                                    "dtype": "u8", "data_file": data_file}))
+        with pytest.raises(ParseError, match="data_file"):
+            read_volume(str(path))
+
+    def test_data_file_in_subdirectory(self, tmp_path):
+        (tmp_path / "payload").mkdir()
+        (tmp_path / "payload" / "m.bin").write_bytes(bytes([0, 1] * 4))
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"dims": [2, 2, 2], "spacing": [1, 1, 1], "kind": "binary",
+                                    "dtype": "u8", "data_file": "payload/m.bin"}))
+        assert read_volume(str(path)).foreground_count() == 4
 
     def test_kind_dtype_mismatch(self, tmp_path):
         path = tmp_path / "bad.json"
