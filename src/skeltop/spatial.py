@@ -1,83 +1,19 @@
-"""Uniform-grid acceleration for point-set queries, in numpy alone.
+"""Uniform-grid nearest-neighbor queries, in numpy alone.
 
-Two query kinds are served: enumeration of all point pairs within a
-fixed radius (skeleton-graph edges) and nearest-neighbor distances from
-query points to a target set (surface and trace metrics). Results are
-deterministic: pair lists are returned in sorted order, and distances
-equal the brute-force minimum over all targets bit for bit.
+Serves nearest-neighbor distances from query points to a target set
+(surface and trace metrics, skeleton node terms). The distances equal
+the brute-force minimum over all targets bit for bit.
 """
 
 import math
 
 import numpy as np
 
-from .errors import ValidationError, check_positive_finite
-
-_FORWARD = [(dz, dy, dx)
-            for dz in (0, 1) for dy in (-1, 0, 1) for dx in (-1, 0, 1)
-            if (dz, dy, dx) > (0, 0, 0)]
-
-_EMPTY_PAIRS = np.empty((0, 2), dtype=np.int64)
+from .errors import ValidationError
 
 # (dz, dy) of the nine runs of three x-adjacent cells tiling a 27-neighborhood
 _RUNS = np.array([(dz, dy) for dz in (-1, 0, 1) for dy in (-1, 0, 1)], dtype=np.int64)
 _PAIR_BUDGET = 1 << 16  # query-target pairs per distance chunk; bounds peak memory
-
-
-def _bucketize(points, cell):
-    keys = np.floor(points / cell).astype(np.int64)
-    order = np.lexsort((keys[:, 2], keys[:, 1], keys[:, 0]))
-    sorted_keys = keys[order]
-    boundaries = np.nonzero(np.any(sorted_keys[1:] != sorted_keys[:-1], axis=1))[0] + 1
-    starts = np.concatenate(([0], boundaries))
-    ends = np.concatenate((boundaries, [len(points)]))
-    cells = {}
-    for s, e in zip(starts, ends):
-        idx = np.sort(order[s:e])
-        cells[tuple(sorted_keys[s])] = idx
-    return cells
-
-
-def pairs_within_radius(points, r: float) -> np.ndarray:
-    """All unordered index pairs (i, j), i < j, with ||p_i - p_j|| <= r.
-
-    Bucket grid with cell size r: points within r of each other always
-    fall in the same or 26-adjacent cells, so each unordered pair is
-    examined exactly once (own cell plus 13 forward neighbors). Output is
-    lexicographically sorted.
-    """
-    check_positive_finite("radius", r)
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    n = len(pts)
-    if n < 2:
-        return _EMPTY_PAIRS.copy()
-    r2 = r * r
-    cells = _bucketize(pts, r)
-    chunks = []
-    for key in sorted(cells):
-        own = cells[key]
-        own_pts = pts[own]
-        if len(own) > 1:
-            d2 = ((own_pts[:, None, :] - own_pts[None, :, :]) ** 2).sum(axis=2)
-            iu, ju = np.triu_indices(len(own), k=1)
-            hit = d2[iu, ju] <= r2
-            if hit.any():
-                chunks.append(np.stack((own[iu[hit]], own[ju[hit]]), axis=1))
-        for off in _FORWARD:
-            other = cells.get((key[0] + off[0], key[1] + off[1], key[2] + off[2]))
-            if other is None:
-                continue
-            d2 = ((own_pts[:, None, :] - pts[other][None, :, :]) ** 2).sum(axis=2)
-            ai, bi = np.nonzero(d2 <= r2)
-            if len(ai):
-                a = own[ai]
-                b = other[bi]
-                chunks.append(np.stack((np.minimum(a, b), np.maximum(a, b)), axis=1))
-    if not chunks:
-        return _EMPTY_PAIRS.copy()
-    pairs = np.concatenate(chunks, axis=0)
-    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-    return pairs[order]
 
 
 def _scan(best, q_cols, t_cols, owner, start, count):

@@ -222,7 +222,7 @@ def rasterize(m: Morphology, spec: SynthSpec):
         ix, iy, iz = (int(v) for v in np.rint(pos))
         mask[iz, iy, ix] = True
 
-    vol_mask = Volume3D(mask.astype("u1"), BINARY)
+    vol_mask = Volume3D(mask, BINARY)
     if spec.blur_sigma == 0 and spec.noise_sigma == 0:
         prob = mask.astype("<f4")
     else:

@@ -20,10 +20,11 @@ Within a sub-iteration, simplicity is evaluated in bulk against the
 current image. Candidates are then resolved as if scanned in that order,
 deleting one only if no earlier deletion touched its 26-neighborhood:
 that is the lexicographically first maximal independent set of the
-candidates under 26-adjacency, computed in rounds. Conflicting candidates
-wait for the next pass. Every deletion is therefore valid at the moment
-it happens, which makes the component count (and all other topology)
-invariant, and the fixpoint loop makes the operator idempotent.
+candidates under 26-adjacency, computed in one ordered scan over the
+pairs of 26-adjacent candidates. Conflicting candidates wait for the
+next pass. Every deletion is therefore valid at the moment it happens,
+which makes the component count (and all other topology) invariant,
+and the fixpoint loop makes the operator idempotent.
 """
 
 import numpy as np
@@ -81,23 +82,16 @@ def _simple(codes):
 def _first_independent(idx, earlier):
     """Lexicographically first maximal independent subset of ascending `idx`,
     where `earlier` holds the flat offsets of the 13 preceding 26-neighbors."""
-    n = len(idx)
-    nbr_flat = earlier[:, None] + idx
+    nbr_flat = idx[:, None] + earlier
     nbr = np.searchsorted(idx, nbr_flat)
-    nbr[idx[np.minimum(nbr, n - 1)] != nbr_flat] = n  # not a candidate
-    is_cand = nbr < n
-    todo = np.flatnonzero(is_cand.any(axis=0))
-    nbr = nbr[is_cand.any(axis=1)][:, todo]
-    state = np.full(n + 1, 2, dtype=np.int8)  # 0 skipped, 1 undecided, 2 deleted
-    state[n] = 0
-    state[todo] = 1
-    while len(todo):
-        # deleted next to a deletion is skipped; with every neighbor skipped, deleted
-        top = state[nbr].max(axis=0)
-        state[todo] = 2 - top
-        wait = top == 1
-        todo, nbr = todo[wait], nbr[:, wait]
-    return idx[state[:n] == 2]
+    hit = idx[np.minimum(nbr, len(idx) - 1)] == nbr_flat
+    # (candidate, earlier candidate) pairs, ascending by candidate: every
+    # earlier candidate's fate is final before it is read
+    keep = [True] * len(idx)
+    for c, p in zip(np.nonzero(hit)[0].tolist(), nbr[hit].tolist()):
+        if keep[p]:
+            keep[c] = False
+    return idx[np.array(keep, dtype=bool)]
 
 
 def thin(mask: np.ndarray) -> np.ndarray:

@@ -51,7 +51,9 @@ class Volume3D:
                 raise ValidationError("probability volume has values outside [0, 1] or NaN")
         elif arr.max() > 1:  # uint8: the only values that are not 0 or 1 exceed 1
             raise ValidationError("binary volume has values outside {0, 1}")
-        arr = np.ascontiguousarray(arr).copy()  # own the buffer before freezing
+        arr = np.ascontiguousarray(arr)
+        if np.may_share_memory(arr, self.data):  # own the buffer before freezing
+            arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
         object.__setattr__(self, "spacing", sp)
@@ -67,7 +69,7 @@ class Volume3D:
         """Reinterpret a binary mask as a probability volume (values 0.0/1.0)."""
         if self.kind == PROBABILITY:
             return self
-        return Volume3D(self.data.astype("<f4"), PROBABILITY, self.spacing)
+        return Volume3D(self.data, PROBABILITY, self.spacing)
 
     def bool_data(self):
         return self.data.astype(bool)
@@ -81,8 +83,7 @@ def threshold(prob: Volume3D, tau: float = 0.5) -> Volume3D:
     """
     if not (0.0 < tau < 1.0):
         raise ValidationError(f"tau must lie in the open interval (0, 1), got {tau}")
-    mask = (prob.data > tau).astype("u1")
-    return Volume3D(mask, BINARY, prob.spacing)
+    return Volume3D(prob.data > tau, BINARY, prob.spacing)
 
 
 def _require_binary(vol: Volume3D, what: str):

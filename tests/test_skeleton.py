@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,24 @@ from conftest import count_components_26, has_2x2x2_block
 
 def binary_volume(m):
     return Volume3D(np.asarray(m, dtype="u1"), BINARY)
+
+
+def brute_pairs(points, r):
+    pts = np.asarray(points, dtype=np.float64)
+    out = set()
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            if ((pts[i] - pts[j]) ** 2).sum() <= r * r:
+                out.add((i, j))
+    return out
+
+
+def assert_same_graph(vol, r):
+    fast = graph_from_skeleton(vol, r)
+    slow = graph_from_skeleton_bruteforce(vol, r)
+    assert np.array_equal(fast.nodes, slow.nodes)
+    assert np.array_equal(fast.edges, slow.edges)
+    return fast
 
 
 def random_voxel_volume(seed, n, dims=(32, 32, 32)):
@@ -132,6 +152,61 @@ class TestGraphFromSkeleton:
         slow = graph_from_skeleton_bruteforce(vol, 2.0)
         assert fast.edge_set() == slow.edge_set()
 
+    def test_pairs_small_known(self):
+        m = np.zeros((1, 1, 6))
+        m[0, 0, [0, 1, 2, 5]] = 1
+        g = graph_from_skeleton(binary_volume(m), 2.0)
+        assert g.edge_set() == {(0, 1), (0, 2), (1, 2)}
+
+    def test_pairs_sorted_output(self):
+        g = graph_from_skeleton(random_voxel_volume(5, 80, dims=(10, 10, 10)), 2.0)
+        order = np.lexsort((g.edges[:, 1], g.edges[:, 0]))
+        assert g.n_edges > 0 and np.array_equal(g.edges, g.edges[order])
+        assert (g.edges[:, 0] < g.edges[:, 1]).all()
+
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(0, 120), st.floats(0.5, 4.0))
+    @settings(max_examples=40, deadline=None)
+    def test_pairs_match_bruteforce(self, seed, n, r):
+        g = graph_from_skeleton(random_voxel_volume(seed, n, dims=(12, 12, 12)), r)
+        assert g.edge_set() == brute_pairs(g.nodes, r)
+
+    @given(dims=st.tuples(*[st.integers(1, 16)] * 3), seed=st.integers(0, 2 ** 31 - 1),
+           n=st.integers(0, 600), r=st.floats(0.5, 4.0))
+    @settings(max_examples=40, deadline=None)
+    def test_random_volumes_equal_bruteforce(self, dims, seed, n, r):
+        # up to 600 voxels keeps the brute force's all-pairs array small
+        assert_same_graph(random_voxel_volume(seed, n, dims), r)
+
+    def test_more_lookups_than_one_block(self):
+        # 1200 nodes times about 60 runs at r = 6 exceed one lookup block
+        assert_same_graph(random_voxel_volume(23, 1200, dims=(12, 12, 12)), 6.0)
+
+    @pytest.mark.parametrize("r", [1.0, math.sqrt(2), math.sqrt(3), 2.0, math.sqrt(5)])
+    def test_lattice_distance_radii(self, r):
+        # r * r rounds to 2.0000000000000004, 2.9999999999999996 and
+        # 5.000000000000001 for the square roots, so the brute force's float
+        # test admits offsets at distance sqrt(2) and sqrt(5) but not sqrt(3)
+        m = np.random.default_rng(21).random((9, 11, 13)) < 0.3
+        m[:3, :3, :3] = True
+        assert_same_graph(binary_volume(m), r)
+
+    @pytest.mark.parametrize("r", [30.0, 1e6, 1e300])
+    def test_radius_beyond_the_diagonal(self, r):
+        m = np.random.default_rng(22).random((8, 7, 9)) < 0.4
+        g = assert_same_graph(binary_volume(m), r)
+        n = g.n_nodes
+        assert g.n_edges == n * (n - 1) // 2
+
+    @pytest.mark.parametrize("r", [0.5, 1.0, 2.0, 40.0])
+    @pytest.mark.parametrize("voxels", [[], [(2, 1, 3)], [(0, 0, 0), (0, 0, 1)],
+                                        [(0, 0, 0), (3, 3, 3)], [(1, 0, 2), (0, 2, 0)]])
+    def test_empty_one_and_two_voxels(self, voxels, r):
+        m = np.zeros((4, 4, 4))
+        for v in voxels:
+            m[v] = 1
+        g = assert_same_graph(binary_volume(m), r)
+        assert g.n_nodes == len(voxels)
+
     def test_invalid_radius(self):
         with pytest.raises(ValidationError):
             graph_from_skeleton(binary_volume(np.zeros((2, 2, 2))), 0.0)
@@ -224,3 +299,22 @@ class TestConnectedComponents:
         g = graph_from_skeleton(vol, 2.0)
         part = connected_components(g)
         assert sorted(part.components) == union_find_components(g.n_nodes, g.edges)
+
+    def test_path_of_500_with_isolated_nodes(self):
+        # a chain is the longest label propagation; isolated nodes sit
+        # before, inside and after it in id order
+        path = [[0, 0, x] for x in range(500)]
+        nodes = np.array([[0, 5, 0]] + path + [[7, 7, 7], [9, 9, 9]])
+        edges = np.array([[i, i + 1] for i in range(1, 500)])
+        g = SkeletonGraph(nodes, edges, 2.0)
+        part = connected_components(g)
+        assert part.components == ((0,), tuple(range(1, 501)), (501,), (502,))
+        assert part.m == 4 and part.mean_size == 503 / 4
+        assert sorted(part.components) == union_find_components(g.n_nodes, g.edges)
+
+    def test_isolated_nodes_only(self):
+        g = SkeletonGraph(np.array([[0, 0, 0], [0, 0, 5], [3, 0, 0]]),
+                          np.empty((0, 2), dtype=int), 2.0)
+        part = connected_components(g)
+        assert part.components == ((0,), (1,), (2,))
+        assert part.m == 3 and part.mean_size == 1.0

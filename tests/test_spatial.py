@@ -6,48 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skeltop import ValidationError
-from skeltop.spatial import min_dists_to_set, pairs_within_radius
+from skeltop.spatial import min_dists_to_set
 
 from conftest import brute_min_dists
-
-
-def brute_pairs(points, r):
-    pts = np.asarray(points, dtype=np.float64)
-    out = set()
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if ((pts[i] - pts[j]) ** 2).sum() <= r * r:
-                out.add((i, j))
-    return out
 
 
 def brute_in_blocks(queries, targets, block=500):
     """brute_min_dists over query blocks, to bound the all-pairs memory."""
     return np.concatenate([brute_min_dists(queries[i:i + block], targets)
                            for i in range(0, len(queries), block)])
-
-
-def test_pairs_small_known():
-    pts = np.array([[0, 0, 0], [0, 0, 1], [0, 0, 2], [0, 0, 5]], dtype=float)
-    pairs = pairs_within_radius(pts, 2.0)
-    assert {tuple(p) for p in pairs} == {(0, 1), (0, 2), (1, 2)}
-
-
-def test_pairs_sorted_output():
-    rng = np.random.default_rng(5)
-    pts = rng.uniform(0, 10, size=(80, 3))
-    pairs = pairs_within_radius(pts, 2.0)
-    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-    assert np.array_equal(pairs, pairs[order])
-
-
-@given(st.integers(0, 2 ** 31 - 1), st.integers(0, 120), st.floats(0.5, 4.0))
-@settings(max_examples=40, deadline=None)
-def test_pairs_match_bruteforce(seed, n, r):
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(0, 12, size=(n, 3))
-    pairs = pairs_within_radius(pts, r)
-    assert {tuple(p) for p in pairs} == brute_pairs(pts, r)
 
 
 @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 150), st.integers(1, 60))

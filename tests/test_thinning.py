@@ -93,3 +93,56 @@ class TestThinMatchesReference:
     def test_degenerate_shapes(self):
         for shape in [(0, 4, 4), (1, 1, 1), (1, 5, 5), (3, 1, 7)]:
             assert_same_skeleton(np.ones(shape, dtype=bool))
+
+
+def naive_first_independent(mask):
+    """Scan the voxels of `mask` in argwhere order with a set of the chosen
+    ones; a voxel is chosen unless a chosen voxel is among its 26 neighbors.
+    Returns the chosen voxels as a boolean array."""
+    chosen = set()
+    for v in map(tuple, np.argwhere(mask).tolist()):
+        near = {(v[0] + a, v[1] + b, v[2] + c) for a, b, c in itertools.product((-1, 0, 1), repeat=3)}
+        if not near & chosen:
+            chosen.add(v)
+    out = np.zeros_like(mask, dtype=bool)
+    for v in chosen:
+        out[v] = True
+    return out
+
+
+def first_independent_mask(mask):
+    """thinning._first_independent on the flat ids of a zero-padded copy."""
+    d, h, w = mask.shape
+    padded = np.zeros((d + 2, h + 2, w + 2), dtype=bool)
+    padded[1:-1, 1:-1, 1:-1] = mask
+    offs = thinning._OFFSETS @ np.array([(h + 2) * (w + 2), w + 2, 1])
+    out = np.zeros(padded.size, dtype=bool)
+    out[thinning._first_independent(np.flatnonzero(padded), offs[:thinning._CENTER])] = True
+    return out.reshape(padded.shape)[1:-1, 1:-1, 1:-1]
+
+
+class TestFirstIndependent:
+    @settings(max_examples=40, deadline=None)
+    @given(dims=st.tuples(*[st.integers(1, 12)] * 3), seed=st.integers(0, 2**32 - 1),
+           density=st.floats(0.0, 1.0))
+    def test_random_candidate_sets(self, dims, seed, density):
+        mask = np.random.default_rng(seed).random(dims) < density
+        assert np.array_equal(first_independent_mask(mask), naive_first_independent(mask))
+
+    @pytest.mark.parametrize("voxels", [[], [(1, 2, 0)]])
+    def test_empty_and_one_candidate(self, voxels):
+        mask = np.zeros((3, 4, 2), dtype=bool)
+        for v in voxels:
+            mask[v] = True
+        assert np.array_equal(first_independent_mask(mask), mask)
+
+    def test_200_voxel_line(self):
+        # one-voxel-thick lines are the longest chains of conflicts: every
+        # other voxel is chosen, each only once its predecessor is settled
+        for shape, line in (((1, 1, 200), np.s_[0, 0, :]),
+                            ((200, 200, 1), (np.arange(200), np.arange(200), 0))):
+            mask = np.zeros(shape, dtype=bool)
+            mask[line] = True
+            got = first_independent_mask(mask)
+            assert np.array_equal(got, naive_first_independent(mask))
+            assert np.array_equal(got[line], np.arange(200) % 2 == 0)

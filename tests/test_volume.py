@@ -97,6 +97,33 @@ class TestVolume3D:
         with pytest.raises(ValueError):
             vol.data[0, 0, 0] = 1
 
+    # arrays of the volume's own dtype are shared with the caller until
+    # copied; a cast or a strided view makes a fresh array of its own
+    CALLER_ARRAYS = [
+        (BINARY, lambda: np.zeros((3, 4, 5), dtype="u1")),
+        (BINARY, lambda: np.zeros((3, 4, 5), dtype=bool)),
+        (BINARY, lambda: np.zeros((6, 4, 5), dtype="u1")[::2]),
+        (PROBABILITY, lambda: np.zeros((3, 4, 5), dtype="<f4")),
+        (PROBABILITY, lambda: np.zeros((3, 4, 5))),
+    ]
+
+    @pytest.mark.parametrize("kind,make", CALLER_ARRAYS)
+    def test_caller_mutation_does_not_reach_the_volume(self, kind, make):
+        arr = make()
+        vol = Volume3D(arr, kind)
+        arr[...] = 1
+        assert vol.data.max() == 0
+        assert not np.may_share_memory(vol.data, arr)
+
+    @pytest.mark.parametrize("kind,make", CALLER_ARRAYS)
+    def test_data_is_read_only_whether_copied_or_not(self, kind, make):
+        vol = Volume3D(make(), kind)
+        assert not vol.data.flags.writeable and vol.data.flags.c_contiguous
+        with pytest.raises(ValueError):
+            vol.data[0, 0, 0] = 1
+        for derived in (threshold(vol.as_probability(), 0.5), vol.as_probability()):
+            assert not derived.data.flags.writeable
+
 
 class TestThreshold:
     def test_strict_inequality(self):
