@@ -9,9 +9,8 @@ Re-running a command on identical inputs produces byte-identical JSON.
 ``seg-eval``, ``trace-eval`` and ``tasl`` also accept ``--pred-dir`` /
 ``--gt-dir`` batch mode: files are paired by stem, entries are isolated
 (a malformed file only fails its own entry, with an ``error`` message and
-an ``error_kind`` of ``parse``, ``validation`` or ``io``), results are
-emitted in sorted stem order, and the ``SKELTOP_THREADS`` environment
-variable caps the worker pool.
+an ``error_kind`` of ``parse``, ``validation`` or ``io``), and entries
+are evaluated one after another and emitted in sorted stem order.
 """
 
 import argparse
@@ -19,11 +18,11 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import inflate as inflate_mod
+from . import rawjson
 from . import swc as swc_mod
 from . import synth as synth_mod
 from .errors import ParseError, SkeltopError, ValidationError
@@ -32,27 +31,10 @@ from .segmetrics import evaluate_segmentation
 from .skeleton import graph_from_skeleton, skeletonize
 from .skeleton_loss import SkeletonLossWeights, skeleton_loss
 from .tracemetrics import evaluate_trace
-from .volume import PROBABILITY, Volume3D, read_volume, threshold, write_volume
+from .volume import PROBABILITY, read_volume, threshold, write_volume
 
 SCHEMA = 1
 VOLUME_EXTENSIONS = (".json", ".nrrd")
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("SKELTOP_THREADS")
-    if raw is None:
-        return min(8, os.cpu_count() or 1)
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValidationError(f"SKELTOP_THREADS must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise ValidationError(f"SKELTOP_THREADS must be >= 1, got {n}")
-    return n
-
-
-def _binarize(vol: Volume3D, tau: float) -> Volume3D:
-    return threshold(vol, tau) if vol.kind == PROBABILITY else vol
 
 
 def _dumps(payload) -> str:
@@ -94,9 +76,7 @@ def _run_batch(args, extensions, evaluate_pair):
             return {"stem": stem, "error": str(exc), "error_kind": "io"}
         return {"stem": stem, **result}
 
-    with ThreadPoolExecutor(max_workers=_thread_cap()) as pool:
-        results = list(pool.map(run_one, order))
-    return {"schema": SCHEMA, "results": results}
+    return {"schema": SCHEMA, "results": [run_one(stem) for stem in order]}
 
 
 def _require_pair_mode(args, parser):
@@ -112,7 +92,7 @@ def _require_pair_mode(args, parser):
 
 def _cmd_seg_eval(args, parser):
     def evaluate_pair(pred_path, gt_path):
-        pred = _binarize(read_volume(pred_path), args.tau)
+        pred = threshold(read_volume(pred_path), args.tau)
         gt = read_volume(gt_path)
         report = evaluate_segmentation(pred, gt)
         return {**report.to_json_obj(), "params": {"tau": args.tau}}
@@ -165,17 +145,13 @@ def _cmd_tasl(args, parser):
 
 
 def _cmd_loss(args, parser):
-    with open(args.scales, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{args.scales}: not valid JSON: {exc}") from None
-    if not isinstance(doc, dict) or "scales" not in doc:
+    doc = rawjson.load_object(args.scales)
+    if "scales" not in doc:
         raise ValidationError(f"{args.scales}: expected an object with a 'scales' array")
     try:
         scales = [ScaleLoss(float(s["dice"]), float(s["ce"]), float(s["tasl"]))
                   for s in doc["scales"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(
             f"{args.scales}: each scale needs numeric 'dice', 'ce', 'tasl' fields ({exc})") from None
     weights = doc.get("scale_weights")
@@ -183,7 +159,7 @@ def _cmd_loss(args, parser):
         weights = default_scale_weights(len(scales))
     try:
         weights, beta = tuple(float(w) for w in weights), float(doc.get("beta", 1.0))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValidationError(
             f"{args.scales}: 'scale_weights' must be an array of numbers and 'beta' a number") from None
     cfg = DeepSupervisionConfig(scale_weights=weights, beta=beta)
@@ -194,7 +170,7 @@ def _cmd_loss(args, parser):
 
 def _cmd_skeletonize(args, parser):
     vol = read_volume(args.input)
-    skel = skeletonize(_binarize(vol, args.tau))
+    skel = skeletonize(threshold(vol, args.tau))
     write_volume(skel, args.out)
     return {"schema": SCHEMA, "out": args.out,
             "foreground_in": vol.foreground_count() if vol.kind != PROBABILITY else None,
@@ -203,7 +179,7 @@ def _cmd_skeletonize(args, parser):
 
 def _cmd_graph(args, parser):
     vol = read_volume(args.input)
-    graph = graph_from_skeleton(_binarize(vol, args.tau), args.r)
+    graph = graph_from_skeleton(threshold(vol, args.tau), args.r)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(graph.to_json_obj(), fh, indent=2)
         fh.write("\n")
@@ -244,12 +220,8 @@ def _cmd_inflate_verify(args, parser):
 
 
 def _cmd_synth(args, parser):
-    with open(args.spec, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{args.spec}: not valid JSON: {exc}") from None
-    if not isinstance(doc, dict) or "seed" not in doc:
+    doc = rawjson.load_object(args.spec)
+    if "seed" not in doc:
         raise ValidationError(f"{args.spec}: expected an object with at least a 'seed' field")
     known = {"seed", "dims", "n_branch_points", "segment_length", "tube_radius",
              "noise_sigma", "blur_sigma"}

@@ -12,7 +12,6 @@ depth-constant inputs for average inflation). Weights are held in
 float64 in memory; the on-disk tensor format is little-endian float32.
 """
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,29 +175,17 @@ def average_inflation_residual(vol: np.ndarray, k: Kernel2D, k_d: int) -> float:
 # Tensor file format (sidecar JSON + little-endian float32 payload)
 
 def read_tensor(path: str) -> np.ndarray:
-    header = rawjson.load_header(path)
-    shape = rawjson.require_field(header, path, "shape")
-    if (not isinstance(shape, list) or not shape
-            or any(type(v) is not int or v < 1 for v in shape)):
-        raise ParseError(f"{path}: field 'shape' must be positive integers, got {shape!r}")
+    header = rawjson.load_object(path)
+    shape, count = rawjson.shape_field(header, path, "shape")
     if header.get("dtype") != "f32":
         raise ParseError(f"{path}: field 'dtype' must be 'f32', got {header.get('dtype')!r}")
-    count = int(np.prod(shape))
     flat = rawjson.read_payload(path, header, count)
     return flat.reshape(shape).astype(np.float64)
 
 
 def write_tensor(arr: np.ndarray, path: str) -> None:
     arr = np.asarray(arr)
-    stem = os.path.basename(path)
-    if stem.endswith(".json"):
-        stem = stem[:-5]
-    header = {
-        "shape": [int(s) for s in arr.shape],
-        "dtype": "f32",
-        "data_file": f"{stem}.bin",
-    }
-    rawjson.write_payload(path, header, arr.ravel(), "f32")
+    rawjson.write_payload(path, {"shape": [int(s) for s in arr.shape]}, arr.ravel(), "f32")
 
 
 def read_kernel2d(path: str) -> Kernel2D:

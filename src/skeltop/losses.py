@@ -68,19 +68,17 @@ class DeepSupervisionConfig:
 
     scale_weights: tuple
     beta: float = 1.0
-    epsilon_dice: float = DICE_EPSILON
 
     def __post_init__(self):
         weights = tuple(float(w) for w in self.scale_weights)
-        if not all(math.isfinite(v) for v in (*weights, self.beta, self.epsilon_dice)):
-            raise ValidationError("scale weights, beta and epsilon_dice must be finite")
+        if not all(math.isfinite(v) for v in (*weights, self.beta)):
+            raise ValidationError("scale weights and beta must be finite")
         if not weights or any(w < 0 for w in weights):
             raise ValidationError("scale weights must be non-negative and non-empty")
         if all(w == 0 for w in weights):
             raise ValidationError("at least one scale weight must be positive")
         if self.beta < 0:
             raise ValidationError(f"beta must be non-negative, got {self.beta}")
-        check_positive_finite("epsilon_dice", self.epsilon_dice)
         object.__setattr__(self, "scale_weights", weights)
 
 

@@ -1,10 +1,14 @@
-"""Sidecar-JSON raw binary format helpers.
+"""Text and JSON input, and the sidecar-JSON raw binary format.
+
+Every text input file (SWC, JSON headers, loss and synth specs) is read
+through :func:`read_text`, so bytes that are not UTF-8 are a ParseError.
 
 Both volumes and weight tensors are stored as a small `.json` header next
 to a flat little-endian binary payload. The header names the payload file
 via `data_file`, a relative path resolved against the header's
 directory; absolute paths and `..` components are rejected, so a header
-can only name a payload in its own directory or below it.
+can only name a payload in its own directory or below it. Writers name
+the payload `<stem>.bin` after the header's file name.
 """
 
 import json
@@ -18,17 +22,24 @@ from .errors import ParseError
 DTYPES = {"f32": np.dtype("<f4"), "u8": np.dtype("u1")}
 
 
-def load_header(path):
-    """Read and decode the sidecar JSON header, rewrapping JSON errors."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+def read_text(path):
+    """The contents of the UTF-8 text file at `path`."""
     try:
-        header = json.loads(text)
-    except json.JSONDecodeError as exc:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not UTF-8 text") from None
+
+
+def load_object(path):
+    """The JSON object stored in the text file at `path`."""
+    try:
+        doc = json.loads(read_text(path))
+    except (ValueError, RecursionError) as exc:  # incl. JSONDecodeError, over-long integers
         raise ParseError(f"{path}: not valid JSON: {exc}") from None
-    if not isinstance(header, dict):
-        raise ParseError(f"{path}: header must be a JSON object")
-    return header
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: expected a JSON object")
+    return doc
 
 
 def is_finite_number(value):
@@ -43,6 +54,17 @@ def require_field(header, path, name):
     if name not in header:
         raise ParseError(f"{path}: missing required field '{name}'")
     return header[name]
+
+
+def shape_field(header, path, name, rank=None):
+    """Header field `name` as a non-empty list of positive integers (exactly
+    `rank` of them if given), with the product of its entries."""
+    shape = require_field(header, path, name)
+    if (not isinstance(shape, list) or not shape or rank not in (None, len(shape))
+            or any(type(v) is not int or v < 1 for v in shape)):
+        count = "" if rank is None else f"{rank} "
+        raise ParseError(f"{path}: field '{name}' must be {count}positive integers, got {shape!r}")
+    return shape, math.prod(shape)
 
 
 def read_payload(path, header, count):
@@ -69,10 +91,14 @@ def read_payload(path, header, count):
     return np.frombuffer(raw, dtype=dtype)
 
 
-def write_payload(path, header, flat, dtype_name):
-    """Write the header JSON at `path` and the payload next to it."""
-    data_file = header["data_file"]
-    payload_path = os.path.join(os.path.dirname(os.path.abspath(path)), data_file)
+def write_payload(path, fields, flat, dtype_name):
+    """Write `flat` as `<stem>.bin` next to `path`, and at `path` the header:
+    `fields`, then `dtype` and `data_file`."""
+    stem = os.path.basename(path)
+    if stem.endswith(".json"):
+        stem = stem[:-5]
+    header = {**fields, "dtype": dtype_name, "data_file": f"{stem}.bin"}
+    payload_path = os.path.join(os.path.dirname(os.path.abspath(path)), header["data_file"])
     arr = np.ascontiguousarray(flat, dtype=DTYPES[dtype_name])
     with open(payload_path, "wb") as fh:
         fh.write(arr.tobytes())

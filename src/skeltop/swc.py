@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import rawjson
 from .errors import ParseError, ValidationError, check_positive_finite
 
 
@@ -64,21 +65,29 @@ class Morphology:
             for p, c in self.segments()))
 
 
-def _validate_structure(records, lines=None):
+class _RecordError(ParseError):
+    """A fault of the record at `index` in id order."""
+
+    def __init__(self, index, message):
+        super().__init__(message)
+        self.index = index
+
+
+def _validate_structure(records):
     table = {}
     for idx, rec in enumerate(records):
         if rec.id in table:
-            raise ParseError(_ctx(lines, idx, f"duplicate id {rec.id}"))
+            raise _RecordError(idx, f"duplicate id {rec.id}")
         if not all(math.isfinite(v) for v in (rec.x, rec.y, rec.z)):
-            raise ParseError(_ctx(lines, idx, f"coordinates must be finite, got {rec.position()}"))
+            raise _RecordError(idx, f"coordinates must be finite, got {rec.position()}")
         if not (math.isfinite(rec.radius) and rec.radius > 0):
-            raise ParseError(_ctx(lines, idx, f"radius must be positive and finite, got {rec.radius}"))
+            raise _RecordError(idx, f"radius must be positive and finite, got {rec.radius}")
         if rec.parent < -1:
-            raise ParseError(_ctx(lines, idx, f"parent must be -1 or a record id, got {rec.parent}"))
+            raise _RecordError(idx, f"parent must be -1 or a record id, got {rec.parent}")
         table[rec.id] = rec
     for idx, rec in enumerate(records):
         if rec.parent != -1 and rec.parent not in table:
-            raise ParseError(_ctx(lines, idx, f"parent id {rec.parent} does not exist"))
+            raise _RecordError(idx, f"parent id {rec.parent} does not exist")
     # cycle check: follow parent chains, memoizing ids known to reach a root
     safe = set()
     for idx, rec in enumerate(records):
@@ -86,18 +95,12 @@ def _validate_structure(records, lines=None):
         cur = rec
         while cur.id not in safe:
             if cur.id in chain:
-                raise ParseError(_ctx(lines, idx, f"parent chain of id {rec.id} contains a cycle"))
+                raise _RecordError(idx, f"parent chain of id {rec.id} contains a cycle")
             chain.append(cur.id)
             if cur.parent == -1:
                 break
             cur = table[cur.parent]
         safe.update(chain)
-
-
-def _ctx(lines, record_index, message):
-    if lines is not None and record_index < len(lines):
-        return f"line {lines[record_index]}: {message}"
-    return message
 
 
 def parse_swc(text: str) -> Morphology:
@@ -120,8 +123,10 @@ def parse_swc(text: str) -> Morphology:
         records.append(rec)
         lines.append(lineno)
     order = sorted(range(len(records)), key=lambda i: records[i].id)
-    _validate_structure([records[i] for i in order], [lines[i] for i in order])
-    return Morphology(tuple(records))
+    try:
+        return Morphology(tuple(records[i] for i in order))
+    except _RecordError as exc:
+        raise ParseError(f"line {lines[order[exc.index]]}: {exc}") from None
 
 
 def write_swc(m: Morphology) -> str:
@@ -133,8 +138,7 @@ def write_swc(m: Morphology) -> str:
 
 
 def load_swc(path: str) -> Morphology:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = rawjson.read_text(path)
     try:
         return parse_swc(text)
     except ParseError as exc:

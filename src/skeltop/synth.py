@@ -72,7 +72,7 @@ def _real(value, name):
     """A finite real number."""
     try:
         out = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         out = math.nan
     if isinstance(value, str) or not math.isfinite(out):
         raise ValidationError(f"{name} must be a finite number, got {value!r}")

@@ -10,7 +10,6 @@ default; spacing is carried as metadata and only applied where an
 operation documents a spacing flag.
 """
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,7 +78,7 @@ def threshold(prob: Volume3D, tau: float = 0.5) -> Volume3D:
     """Binarize with a strict cut: foreground wherever value > tau.
 
     Values exactly equal to tau map to background. tau must lie strictly
-    inside (0, 1).
+    inside (0, 1), so a binary mask comes back as the same mask.
     """
     if not (0.0 < tau < 1.0):
         raise ValidationError(f"tau must lie in the open interval (0, 1), got {tau}")
@@ -116,77 +115,47 @@ def surface_voxels(mask: Volume3D) -> set:
 # ---------------------------------------------------------------------------
 # File formats
 
-RAWJSON = "rawjson"
-NRRD = "nrrd"
-
 _NRRD_MAGIC = "NRRD0004"
 _NRRD_FIELDS = ("type", "dimension", "sizes", "encoding", "endian")
 
 
-def _infer_format(path: str) -> str:
+def read_volume(path: str) -> Volume3D:
+    """Read an NRRD file (`.nrrd`) or a RawJson header (any other name)."""
+    return _read_nrrd(path) if path.endswith(".nrrd") else _read_rawjson(path)
+
+
+def write_volume(vol: Volume3D, path: str) -> None:
+    """Write an NRRD file (`.nrrd`) or a RawJson header and payload (any other name)."""
     if path.endswith(".nrrd"):
-        return NRRD
-    return RAWJSON
-
-
-def read_volume(path: str, format: str | None = None) -> Volume3D:
-    fmt = format or _infer_format(path)
-    if fmt == RAWJSON:
-        return _read_rawjson(path)
-    if fmt == NRRD:
-        return _read_nrrd(path)
-    raise ValidationError(f"unknown volume format {fmt!r}")
-
-
-def write_volume(vol: Volume3D, path: str, format: str | None = None) -> None:
-    fmt = format or _infer_format(path)
-    if fmt == RAWJSON:
-        _write_rawjson(vol, path)
-    elif fmt == NRRD:
         _write_nrrd(vol, path)
     else:
-        raise ValidationError(f"unknown volume format {fmt!r}")
+        rawjson.write_payload(path, {"dims": [int(d) for d in vol.dims],
+                                     "spacing": [float(s) for s in vol.spacing],
+                                     "kind": vol.kind},
+                              vol.data.ravel(), _KIND_DTYPE_NAME[vol.kind])
 
 
 def _read_rawjson(path):
-    header = rawjson.load_header(path)
+    header = rawjson.load_object(path)
     for name in ("dims", "spacing", "kind", "dtype", "data_file"):
         rawjson.require_field(header, path, name)
-    dims = header["dims"]
-    if (not isinstance(dims, list) or len(dims) != 3
-            or any(type(v) is not int or v < 1 for v in dims)):
-        raise ParseError(f"{path}: field 'dims' must be 3 positive integers, got {dims!r}")
+    dims, count = rawjson.shape_field(header, path, "dims", rank=3)
     spacing = header["spacing"]
     if (not isinstance(spacing, list) or len(spacing) != 3
             or not all(rawjson.is_finite_number(v) for v in spacing)):
         raise ParseError(f"{path}: field 'spacing' must be 3 finite reals, got {spacing!r}")
     kind = header["kind"]
-    if kind not in _KIND_DTYPE_NAME:
+    if kind not in (PROBABILITY, BINARY):  # a tuple test: an unhashable value is just unequal
         raise ParseError(f"{path}: field 'kind' must be 'probability' or 'binary', got {kind!r}")
     if header["dtype"] != _KIND_DTYPE_NAME[kind]:
         raise ParseError(
             f"{path}: field 'dtype' is {header['dtype']!r} but kind '{kind}' "
             f"requires '{_KIND_DTYPE_NAME[kind]}'")
-    count = dims[0] * dims[1] * dims[2]
     flat = rawjson.read_payload(path, header, count)
     try:
         return Volume3D(flat.reshape(dims), kind, tuple(spacing))
     except ValidationError as exc:
         raise ParseError(f"{path}: {exc}") from None
-
-
-def _write_rawjson(vol, path):
-    stem = os.path.basename(path)
-    if stem.endswith(".json"):
-        stem = stem[:-5]
-    header = {
-        "dims": [int(d) for d in vol.dims],
-        "spacing": [float(s) for s in vol.spacing],
-        "kind": vol.kind,
-        "dtype": _KIND_DTYPE_NAME[vol.kind],
-        "data_file": f"{stem}.bin",
-    }
-    rawjson.write_payload(path, header, vol.data.ravel(), header["dtype"])
 
 
 def _read_nrrd(path):

@@ -309,12 +309,6 @@ class TestBatchMode:
         assert res1.returncode == 0 and res4.returncode == 0
         assert res1.stdout == res4.stdout
 
-    def test_invalid_thread_env(self, batch_dirs):
-        pred_dir, gt_dir = batch_dirs
-        res = run_cli("seg-eval", "--pred-dir", str(pred_dir), "--gt-dir", str(gt_dir),
-                      env_extra={"SKELTOP_THREADS": "zoom"})
-        assert res.returncode == 2
-
     def test_tasl_batch(self, batch_dirs):
         pred_dir, gt_dir = batch_dirs
         res = run_cli("tasl", "--pred-dir", str(pred_dir), "--gt-dir", str(gt_dir))
@@ -400,6 +394,16 @@ class TestBatchMode:
         by_stem = {e["stem"]: e for e in json.loads(res.stdout)["results"]}
         assert by_stem["a"]["esa"] == 0.0
         assert "error" in by_stem["bad"]
+
+
+def test_import_loads_no_scipy_or_thread_pool():
+    """CLI start-up dominates a short batch, so importing the CLI loads
+    neither scipy nor concurrent.futures."""
+    res = subprocess.run([sys.executable, "-c", "import sys, skeltop.cli; print(*sorted(m for m in "
+                          "sys.modules if m.split('.')[0] in ('scipy', 'concurrent')))"],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "\n"
 
 
 class TestDeterminism:

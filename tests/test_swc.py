@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import resample_reference
 from skeltop import (Morphology, ParseError, SwcRecord, ValidationError,
                      parse_swc, resample, write_swc)
+from skeltop import swc as swc_mod
 from skeltop.swc import MAX_RESAMPLED_NODES, resample_arrays
 from skeltop.synth import SynthSpec, generate_tree
 
@@ -67,6 +68,18 @@ class TestParse:
     def test_non_finite_fields(self, line, what):
         with pytest.raises(ParseError, match=f"line 2: {what}"):
             parse_swc("1 1 0 0 0 1 -1\n" + line + "\n")
+
+    def test_line_of_unsorted_record(self):
+        with pytest.raises(ParseError, match="^line 1: parent id 99 does not exist$"):
+            parse_swc("3 3 1 0 0 1 99\n1 1 0 0 0 1 -1\n")
+
+    def test_structure_validated_once(self, monkeypatch):
+        calls = []
+        validate = swc_mod._validate_structure
+        monkeypatch.setattr(swc_mod, "_validate_structure",
+                            lambda *args: calls.append(args) or validate(*args))
+        parse_swc("2 3 1 0 0 1 1\n1 1 0 0 0 1 -1\n")
+        assert len(calls) == 1
 
     def test_parent_before_child_not_required(self):
         m = parse_swc("2 3 1 0 0 1 1\n1 1 0 0 0 1 -1\n")
@@ -209,5 +222,5 @@ class TestMorphologyInvariants:
         assert m.total_length() == pytest.approx(5.0, abs=1e-12)
 
     def test_validation_at_construction(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="^parent id 7 does not exist$"):
             Morphology((SwcRecord(1, 1, 0, 0, 0, 1, 7),))
