@@ -10,7 +10,9 @@ Re-running a command on identical inputs produces byte-identical JSON.
 ``--gt-dir`` batch mode: files are paired by stem, entries are isolated
 (a malformed file only fails its own entry, with an ``error`` message and
 an ``error_kind`` of ``parse``, ``validation`` or ``io``), and entries
-are evaluated one after another and emitted in sorted stem order.
+are evaluated one after another and emitted in sorted stem order. Numeric
+flags are checked before any file is read, so a bad flag fails the whole
+run with exit 2.
 """
 
 import argparse
@@ -25,13 +27,13 @@ from . import inflate as inflate_mod
 from . import rawjson
 from . import swc as swc_mod
 from . import synth as synth_mod
-from .errors import ParseError, SkeltopError, ValidationError
+from .errors import ParseError, SkeltopError, ValidationError, check_positive_finite
 from .losses import DeepSupervisionConfig, ScaleLoss, default_scale_weights, total_loss
 from .segmetrics import evaluate_segmentation
 from .skeleton import graph_from_skeleton, skeletonize
 from .skeleton_loss import SkeletonLossWeights, skeleton_loss
 from .tracemetrics import evaluate_trace
-from .volume import PROBABILITY, read_volume, threshold, write_volume
+from .volume import PROBABILITY, check_tau, read_volume, threshold, write_volume
 
 SCHEMA = 1
 VOLUME_EXTENSIONS = (".json", ".nrrd")
@@ -91,6 +93,8 @@ def _require_pair_mode(args, parser):
 # Command handlers
 
 def _cmd_seg_eval(args, parser):
+    check_tau(args.tau)
+
     def evaluate_pair(pred_path, gt_path):
         pred = threshold(read_volume(pred_path), args.tau)
         gt = read_volume(gt_path)
@@ -103,6 +107,10 @@ def _cmd_seg_eval(args, parser):
 
 
 def _cmd_trace_eval(args, parser):
+    check_positive_finite("match threshold", args.theta)
+    if args.resample is not None:
+        check_positive_finite("resample step", args.resample)
+
     def evaluate_pair(pred_path, gt_path):
         report = evaluate_trace(swc_mod.load_swc(pred_path), swc_mod.load_swc(gt_path),
                                 theta=args.theta, resample_step=args.resample)

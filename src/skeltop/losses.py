@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError, check_positive_finite
-from .volume import Volume3D
+from .volume import BINARY, Volume3D
 
 CE_CLAMP = 1e-7
 DICE_EPSILON = 1e-8
@@ -34,9 +34,19 @@ def dice_loss(p: Volume3D, g: Volume3D, epsilon: float = DICE_EPSILON) -> float:
 
 def ce_loss(p: Volume3D, g: Volume3D, clamp: float = CE_CLAMP) -> float:
     """Summed binary cross-entropy, with p clamped to [clamp, 1-clamp]
-    because the formula is undefined at exactly 0 or 1."""
+    because the formula is undefined at exactly 0 or 1.
+
+    A binary g needs one logarithm per voxel: log(p) where g = 1 and
+    log1p(-p) where g = 0. That is exactly the general formula's value,
+    whose other product is a signed zero.
+    """
     _check_dims(p, g)
     pv = np.clip(p.data.ravel().astype(np.float64), clamp, 1.0 - clamp)
+    if g.kind == BINARY:
+        fg = g.bool_data().ravel()
+        terms = np.log(pv, out=np.empty_like(pv), where=fg)
+        np.log1p(np.negative(pv, out=pv), out=terms, where=~fg)
+        return float(-np.sum(terms))
     gv = g.data.ravel().astype(np.float64)
     return float(-np.sum(gv * np.log(pv) + (1.0 - gv) * np.log1p(-pv)))
 

@@ -68,27 +68,30 @@ def shape_field(header, path, name, rank=None):
 
 
 def read_payload(path, header, count):
-    """Read `count` scalars of the declared dtype from the payload file."""
+    """Read `count` scalars of the declared dtype from the payload file into
+    a new array. The file's size is checked before anything is allocated."""
     dtype_name = require_field(header, path, "dtype")
     if dtype_name not in DTYPES:
         raise ParseError(
             f"{path}: field 'dtype' must be one of {sorted(DTYPES)}, got {dtype_name!r}")
     data_file = require_field(header, path, "data_file")
-    if (not isinstance(data_file, str) or "\0" in data_file or os.path.isabs(data_file)
-            or ".." in data_file.replace("\\", "/").split("/")):
+    if (not isinstance(data_file, str) or not data_file or "\0" in data_file
+            or os.path.isabs(data_file) or ".." in data_file.replace("\\", "/").split("/")):
         raise ParseError(
             f"{path}: field 'data_file' must be a relative path inside the header's "
             f"directory, got {data_file!r}")
     payload_path = os.path.join(os.path.dirname(os.path.abspath(path)), data_file)
     dtype = DTYPES[dtype_name]
     with open(payload_path, "rb") as fh:
-        raw = fh.read()
-    n = len(raw) // dtype.itemsize
-    if len(raw) % dtype.itemsize != 0 or n != count:
+        size = os.fstat(fh.fileno()).st_size
+        if size == count * dtype.itemsize:
+            flat = np.empty(count, dtype=dtype)
+            size = fh.readinto(flat)
+    if size != count * dtype.itemsize:
         raise ParseError(
             f"{path}: size mismatch: header implies {count} scalars "
-            f"({count * dtype.itemsize} bytes) but '{data_file}' holds {len(raw)} bytes")
-    return np.frombuffer(raw, dtype=dtype)
+            f"({count * dtype.itemsize} bytes) but '{data_file}' holds {size} bytes")
+    return flat
 
 
 def write_payload(path, fields, flat, dtype_name):

@@ -1,7 +1,8 @@
 """Topology loss on skeleton graphs (node / edge / path discrepancies).
 
-The pipeline binarizes a prediction, thins both volumes to skeletons,
-converts them to proximity graphs, and scores three structural terms:
+The pipeline binarizes a prediction, thins both volumes to skeletons in
+one stacked thinning pass, converts them to proximity graphs, and scores
+three structural terms:
 
 * node: symmetric mean nearest-neighbor distance between node sets,
 * edge: relative difference of edge counts,
@@ -16,10 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import spatial
+from . import spatial, thinning
 from .errors import EmptyGraphError, ValidationError, check_positive_finite
-from .skeleton import (DEFAULT_RADIUS, SkeletonGraph, graph_from_skeleton,
-                       mean_component_size, skeletonize)
+from .skeleton import DEFAULT_RADIUS, SkeletonGraph, graph_from_skeleton, mean_component_size
 from .volume import BINARY, PROBABILITY, Volume3D, threshold
 
 DEFAULT_EPSILON = 1e-8
@@ -110,8 +110,10 @@ def skeleton_loss(pred: Volume3D, gt: Volume3D,
     if gt.kind != BINARY:
         raise ValidationError(f"ground truth must be binary, got kind '{gt.kind}'")
     pred_bin = threshold(pred, w.tau) if pred.kind == PROBABILITY else pred
-    g_pred = graph_from_skeleton(skeletonize(pred_bin), w.r)
-    g_gt = graph_from_skeleton(skeletonize(gt), w.r)
+    # one stacked thinning pass: the skeletons skeletonize gives each side
+    skel_pred, skel_gt = thinning.thin(np.stack((pred_bin.data, gt.data)))
+    g_pred = graph_from_skeleton(Volume3D(skel_pred, BINARY, pred_bin.spacing), w.r)
+    g_gt = graph_from_skeleton(Volume3D(skel_gt, BINARY, gt.spacing), w.r)
     if g_gt.is_empty():
         return SkeletonLossBreakdown(0.0, 0.0, 0.0, 0.0, degenerate=True)
     if g_pred.is_empty():

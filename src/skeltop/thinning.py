@@ -95,10 +95,21 @@ def _first_independent(idx, earlier):
 
 
 def thin(mask: np.ndarray) -> np.ndarray:
-    """Thin a boolean 3D array to its medial-axis skeleton."""
-    d, h, w = mask.shape
-    img = np.zeros((d + 2, h + 2, w + 2), dtype=bool)
-    img[1:-1, 1:-1, 1:-1] = np.asarray(mask, dtype=bool)
+    """Thin a boolean 3D array to its medial-axis skeleton; a 4D array is a
+    stack of same-shape 3D masks on its leading axis, each thinned alone.
+
+    The stack's volumes share one zero-padded image, one background z-plane
+    apart, and one fixpoint loop. That is exact: no 3x3x3 neighborhood and
+    no pair of 26-adjacent candidates spans two volumes, ascending flat
+    index within a volume is still its ``argwhere`` order, and a volume
+    that has converged does not change in later rounds.
+    """
+    masks = np.asarray(mask, dtype=bool)
+    stack = masks if masks.ndim == 4 else masks[None]
+    k, d, h, w = stack.shape
+    img = np.zeros((k * (d + 1) + 1, h + 2, w + 2), dtype=bool)
+    vols = img[1:].reshape(k, d + 1, h + 2, w + 2)[:, :d, 1:-1, 1:-1]
+    vols[...] = stack
     flat = img.reshape(-1)
     sz, sy = (h + 2) * (w + 2), w + 2
     offs = _OFFSETS @ np.array([sz, sy, 1])
@@ -119,4 +130,5 @@ def thin(mask: np.ndarray) -> np.ndarray:
             flat[_first_independent(idx, offs[:_CENTER])] = False
             fg = fg[flat[fg]]
             changed = True
-    return img[1:-1, 1:-1, 1:-1].copy()
+    skel = vols.copy()
+    return skel if masks.ndim == 4 else skel[0]

@@ -24,6 +24,11 @@ _KIND_DTYPE = {PROBABILITY: np.dtype("<f4"), BINARY: np.dtype("u1")}
 _KIND_DTYPE_NAME = {PROBABILITY: "f32", BINARY: "u8"}
 
 
+class _Fresh(np.ndarray):
+    """Marks an array that no one but the new volume holds (a payload just
+    read from a file), so the volume keeps it without a copy."""
+
+
 @dataclass(frozen=True)
 class Volume3D:
     """Immutable 3D scalar field with dims (d, h, w) and spacing (sz, sy, sx)."""
@@ -51,8 +56,8 @@ class Volume3D:
         elif arr.max() > 1:  # uint8: the only values that are not 0 or 1 exceed 1
             raise ValidationError("binary volume has values outside {0, 1}")
         arr = np.ascontiguousarray(arr)
-        if np.may_share_memory(arr, self.data):  # own the buffer before freezing
-            arr = arr.copy()
+        if np.may_share_memory(arr, self.data) and not isinstance(self.data, _Fresh):
+            arr = arr.copy()  # own the caller's buffer before freezing
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
         object.__setattr__(self, "spacing", sp)
@@ -80,9 +85,14 @@ def threshold(prob: Volume3D, tau: float = 0.5) -> Volume3D:
     Values exactly equal to tau map to background. tau must lie strictly
     inside (0, 1), so a binary mask comes back as the same mask.
     """
+    check_tau(tau)
+    return Volume3D(prob.data > tau, BINARY, prob.spacing)
+
+
+def check_tau(tau):
+    """Raise ValidationError unless the threshold tau lies strictly inside (0, 1)."""
     if not (0.0 < tau < 1.0):
         raise ValidationError(f"tau must lie in the open interval (0, 1), got {tau}")
-    return Volume3D(prob.data > tau, BINARY, prob.spacing)
 
 
 def _require_binary(vol: Volume3D, what: str):
@@ -153,7 +163,7 @@ def _read_rawjson(path):
             f"requires '{_KIND_DTYPE_NAME[kind]}'")
     flat = rawjson.read_payload(path, header, count)
     try:
-        return Volume3D(flat.reshape(dims), kind, tuple(spacing))
+        return Volume3D(flat.reshape(dims).view(_Fresh), kind, tuple(spacing))
     except ValidationError as exc:
         raise ParseError(f"{path}: {exc}") from None
 
@@ -208,7 +218,7 @@ def _read_nrrd(path):
     if len(payload) != expected:
         raise ParseError(
             f"{path}: size mismatch: field 'sizes' implies {expected} payload bytes, got {len(payload)}")
-    data = np.frombuffer(payload, dtype=dtype).reshape(d, h, w)
+    data = np.frombuffer(payload, dtype=dtype).reshape(d, h, w).view(_Fresh)
     try:
         return Volume3D(data, kind)
     except ValidationError as exc:

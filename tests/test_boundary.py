@@ -103,7 +103,7 @@ def write_bad_header(good, directory, name, field, value):
 # (name, exit code, text in the message) where they are not (2, the field name)
 RAWJSON_EXPECTED = {"dims_huge": (2, "size mismatch"),
                     "data_file_missing_file": (1, "nothing.bin"),
-                    "data_file_empty": (1, "directory")}
+                    "data_file_empty": (2, "data_file")}
 
 
 @pytest.mark.parametrize("name,field,value", RAWJSON_CASES, ids=[c[0] for c in RAWJSON_CASES])
@@ -325,3 +325,32 @@ def test_numeric_flag_fuzz(capsys, good, tmp_path, flag, value):
     argv = flag_commands(good, tmp_path)[flag][0]
     code, _ = assert_rejected(capsys, *argv, flag_arg(flag, value))
     assert code == 2
+
+
+def batch_dirs(good, tmp_path, suffix):
+    """pred/gt directories holding one good pair with the given suffix."""
+    pred_dir, gt_dir = tmp_path / "pred", tmp_path / "gt"
+    pred_dir.mkdir()
+    gt_dir.mkdir()
+    if suffix == ".swc":
+        for d in (pred_dir, gt_dir):
+            (d / "a.swc").write_bytes((good / "trace.swc").read_bytes())
+    else:
+        for d, src in ((pred_dir, "pred"), (gt_dir, "gt")):
+            (d / "a.json").write_text((good / f"{src}.json").read_text())
+            (d / f"{src}.bin").write_bytes((good / f"{src}.bin").read_bytes())
+    return pred_dir, gt_dir
+
+
+@pytest.mark.parametrize("command,flag", [("seg-eval", "--tau"), ("tasl", "--tau"),
+                                          ("trace-eval", "--theta"),
+                                          ("trace-eval", "--resample")])
+@pytest.mark.parametrize("value", [float("nan"), 0.0], ids=str)
+def test_numeric_flag_fails_whole_batch(capsys, good, tmp_path, command, flag, value):
+    """A flag is checked once, before the batch: exit 2, one error line, no stdout."""
+    pred_dir, gt_dir = batch_dirs(good, tmp_path, ".swc" if command == "trace-eval" else ".json")
+    code, out, err = run(capsys, command, "--pred-dir", pred_dir, "--gt-dir", gt_dir)
+    assert code == 0 and len(json.loads(out)["results"]) == 1 and "error" not in out
+    code, out, err = run(capsys, command, "--pred-dir", pred_dir, "--gt-dir", gt_dir,
+                         flag_arg(flag, value))
+    assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1, err

@@ -108,6 +108,58 @@ class TestCeLoss:
         assert ce_loss(p, g) >= 0.0
 
 
+def two_log_ce(p, g, clamp=1e-7):
+    """The general formula, applied to every voxel whatever g's kind."""
+    pv = np.clip(p.data.ravel().astype(np.float64), clamp, 1.0 - clamp)
+    gv = g.data.ravel().astype(np.float64)
+    return float(-np.sum(gv * np.log(pv) + (1.0 - gv) * np.log1p(-pv)))
+
+
+def edge_probabilities():
+    """0, 1, float32 values at and one ulp either side of both clamp
+    edges, and the smallest and largest float32 values inside (0, 1)."""
+    f = np.float32
+    lo, hi = f(1e-7), f(1 - 1e-7)
+    return np.array([0.0, 1.0, lo, hi, np.nextafter(lo, f(0)), np.nextafter(lo, f(1)),
+                     np.nextafter(hi, f(0)), np.nextafter(hi, f(1)),
+                     np.finfo(f).smallest_subnormal, np.nextafter(f(1), f(0)), 0.5], dtype=f)
+
+
+class TestCeBinaryForm:
+    """A binary g takes one logarithm per voxel; the sum must equal the
+    two-log formula bit for bit."""
+
+    @pytest.mark.parametrize("density", [0.0, 0.002, 0.3, 0.5, 1.0])
+    def test_million_voxels(self, density):
+        rng = np.random.default_rng(int(density * 1000) + 5)
+        pv = rng.random(1_000_000).astype("<f4")
+        edges = edge_probabilities()
+        pv[rng.choice(len(pv), 20 * len(edges), replace=False)] = np.repeat(edges, 20)
+        pv = pv.reshape(100, 100, 100)
+        g = binary(rng.random((100, 100, 100)) < density)
+        assert ce_loss(prob(pv), g) == two_log_ce(prob(pv), g)
+
+    def test_every_term_alone(self):
+        # one voxel per call, so no sum can hide a term that is one ulp off
+        rng = np.random.default_rng(29)
+        values = np.concatenate((edge_probabilities(), rng.random(300).astype("<f4"),
+                                 rng.random(100).astype("<f4") * np.float32(1e-6)))
+        for v in values:
+            p = prob(np.full((1, 1, 1), v))
+            for label in (0, 1):
+                g = binary(np.full((1, 1, 1), label))
+                got, want = ce_loss(p, g), two_log_ce(p, g)
+                assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), (v, label)
+
+    def test_soft_target_takes_the_general_path(self):
+        rng = np.random.default_rng(31)
+        p = prob(rng.random((6, 7, 8)).astype("<f4"))
+        soft = prob(rng.random((6, 7, 8)).astype("<f4"))
+        assert ce_loss(p, soft) == two_log_ce(p, soft)
+        hard = binary(rng.random((6, 7, 8)) < 0.4)
+        assert ce_loss(p, hard.as_probability()) == ce_loss(p, hard)
+
+
 class TestTotalLoss:
     def test_beta_zero_reduction(self):
         cfg = DeepSupervisionConfig(scale_weights=(1.0, 0.5, 0.25), beta=0.0)

@@ -1,14 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skeltop import (BINARY, EmptyGraphError, SkeletonGraph,
+from skeltop import (BINARY, PROBABILITY, EmptyGraphError, SkeletonGraph,
                      SkeletonLossWeights, ValidationError, Volume3D,
-                     edge_discrepancy, node_discrepancy, path_discrepancy,
-                     skeleton_loss)
+                     edge_discrepancy, graph_from_skeleton, node_discrepancy,
+                     path_discrepancy, skeleton_loss, skeletonize, threshold)
+from skeltop.skeleton_loss import SkeletonLossBreakdown
 from skeltop.swc import Morphology, SwcRecord
-from skeltop.synth import SynthSpec, rasterize
+from skeltop.synth import SynthSpec, generate_tree, rasterize
 
 EPS = 1e-8
 
@@ -221,6 +224,50 @@ class TestPipeline:
             for bad in (float("nan"), float("inf")):
                 with pytest.raises(ValidationError):
                     SkeletonLossWeights(**{field: bad})
+
+
+def composed_skeleton_loss(pred, gt, w):
+    """skeleton_loss from its public stages, each volume skeletonized alone."""
+    pred_bin = threshold(pred, w.tau) if pred.kind == PROBABILITY else pred
+    g_pred = graph_from_skeleton(skeletonize(pred_bin), w.r)
+    g_gt = graph_from_skeleton(skeletonize(gt), w.r)
+    if g_gt.is_empty():
+        return SkeletonLossBreakdown(0.0, 0.0, 0.0, 0.0, degenerate=True)
+    if g_pred.is_empty():
+        span = (g_gt.nodes.max(axis=0) - g_gt.nodes.min(axis=0)).astype(np.float64)
+        l_node = float(np.sqrt((span ** 2).sum()))
+    else:
+        l_node = node_discrepancy(g_pred, g_gt)
+    l_edge = edge_discrepancy(g_pred, g_gt, w.epsilon)
+    l_path = path_discrepancy(g_pred, g_gt, w.epsilon)
+    total = w.lambda_node * l_node + w.lambda_edge * l_edge + w.lambda_path * l_path
+    return SkeletonLossBreakdown(l_node, l_edge, l_path, total)
+
+
+class TestMatchesPublicStages:
+    """One stacked thinning pass gives what skeletonize gives each side."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_synth_pairs(self, seed):
+        dims = ((32, 32, 32), (24, 40, 28), (16, 16, 16))[seed % 3]
+        spec = SynthSpec(seed=seed, dims=dims, n_branch_points=2, segment_length=(4.0, 8.0),
+                         tube_radius=1.6, noise_sigma=0.15, blur_sigma=0.8)
+        mask, prob = rasterize(generate_tree(spec), spec)
+        other_mask, other_prob = rasterize(generate_tree(replace(spec, seed=seed + 100)), spec)
+        w = SkeletonLossWeights(lambda_node=1.5, lambda_edge=0.25, lambda_path=0.75,
+                                tau=0.4, r=(2.0, 1.5, 3.0)[seed % 3])
+        for pred, gt in ((prob, mask), (other_prob, mask), (other_mask, mask),
+                         (mask, other_mask), (prob, other_mask)):
+            assert skeleton_loss(pred, gt, w) == composed_skeleton_loss(pred, gt, w)
+
+    def test_empty_sides(self):
+        line = np.zeros((8, 8, 12))
+        line[4, 4, 2:10] = 1
+        empty = np.zeros_like(line)
+        w = SkeletonLossWeights()
+        for pred, gt in ((empty, line), (line, empty), (empty, empty)):
+            pred, gt = binary_volume(pred), binary_volume(gt)
+            assert skeleton_loss(pred, gt, w) == composed_skeleton_loss(pred, gt, w)
 
 
 def remove_node(g: SkeletonGraph, victim: int) -> SkeletonGraph:

@@ -95,6 +95,61 @@ class TestThinMatchesReference:
             assert_same_skeleton(np.ones(shape, dtype=bool))
 
 
+def assert_same_stack(stack):
+    """thin on a stack equals thin and the reference on each member alone."""
+    got = thinning.thin(stack)
+    assert got.dtype == bool and got.shape == stack.shape
+    for i, member in enumerate(stack):
+        alone = thinning.thin(member)
+        assert np.array_equal(got[i], alone), f"member {i}: {int((got[i] != alone).sum())} differ"
+        assert np.array_equal(alone, thin_reference.thin(member)), f"member {i} vs reference"
+
+
+class TestThinStack:
+    @settings(max_examples=30, deadline=None)
+    @given(k=st.integers(1, 3), dims=st.tuples(*[st.integers(1, 16)] * 3),
+           seed=st.integers(0, 2**32 - 1), smooth=st.sampled_from([0.0, 0.8, 1.5]),
+           fill=st.lists(st.sampled_from(["random", "empty", "ones"]), min_size=3, max_size=3))
+    def test_random_stacks(self, k, dims, seed, smooth, fill):
+        rng = np.random.default_rng(seed)
+        stack = np.empty((k, *dims), dtype=bool)
+        for i in range(k):
+            field = rng.random(dims)
+            if smooth:
+                field = ndimage.gaussian_filter(field, smooth)
+                field = (field - field.min()) / max(float(np.ptp(field)), 1e-12)
+            stack[i] = {"random": field > rng.uniform(0.3, 0.7), "empty": False, "ones": True}[fill[i]]
+        assert_same_stack(stack)
+
+    def test_members_touching_every_face(self):
+        # foreground on all six faces of each member: only the background
+        # plane between members keeps their neighborhoods apart
+        rng = np.random.default_rng(7)
+        stack = rng.random((3, 9, 8, 7)) < 0.6
+        for face in (np.s_[:, 0], np.s_[:, -1], np.s_[:, :, 0], np.s_[:, :, -1],
+                     np.s_[:, :, :, 0], np.s_[:, :, :, -1]):
+            stack[face] = True
+        assert_same_stack(stack)
+        assert_same_stack(np.ones((3, 5, 6, 4), dtype=bool))
+
+    def test_shape_corpus_as_one_stack(self, shape_corpus):
+        shapes = {}
+        for _, vol in shape_corpus:
+            shapes.setdefault(vol.dims, []).append(vol.bool_data())
+        for members in shapes.values():
+            assert_same_stack(np.stack(members))
+
+    @pytest.mark.parametrize("shape", [(0, 4, 4, 4), (2, 0, 4, 4), (2, 3, 0, 5), (3, 2, 4, 0)])
+    def test_zero_size_dims(self, shape):
+        got = thinning.thin(np.ones(shape, dtype=bool))
+        assert got.dtype == bool and got.shape == shape
+
+    def test_3d_input_gives_3d_output(self):
+        mask = np.ones((4, 5, 6), dtype=bool)
+        assert thinning.thin(mask).shape == (4, 5, 6)
+        assert np.array_equal(thinning.thin(mask), thinning.thin(mask[None])[0])
+
+
 def naive_first_independent(mask):
     """Scan the voxels of `mask` in argwhere order with a set of the chosen
     ones; a voxel is chosen unless a chosen voxel is among its 26 neighbors.

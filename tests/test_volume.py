@@ -1,4 +1,6 @@
 import json
+import os
+import types
 
 import numpy as np
 import pytest
@@ -255,8 +257,40 @@ class TestRawJsonIO:
         path.write_text('{"dims": [4, 4, 4], "spacing": [1, 1, 1], "kind": "probability",'
                         ' "dtype": "f32", "data_file": "bad.bin"}')
         (tmp_path / "bad.bin").write_bytes(np.zeros(63, dtype="<f4").tobytes())
-        with pytest.raises(ParseError, match="size mismatch"):
+        with pytest.raises(ParseError, match="size mismatch") as exc:
             read_volume(str(path))
+        assert str(exc.value) == (f"{path}: size mismatch: header implies 64 scalars "
+                                  "(256 bytes) but 'bad.bin' holds 252 bytes")
+
+    def test_huge_dims_checked_before_allocation(self, tmp_path):
+        # 2**62 bytes: allocating before the size check would fail with MemoryError
+        path = tmp_path / "huge.json"
+        path.write_text('{"dims": [1048576, 1048576, 1048576], "spacing": [1, 1, 1],'
+                        ' "kind": "probability", "dtype": "f32", "data_file": "huge.bin"}')
+        (tmp_path / "huge.bin").write_bytes(bytes(8))
+        with pytest.raises(ParseError) as exc:
+            read_volume(str(path))
+        assert str(exc.value) == (f"{path}: size mismatch: header implies {2 ** 60} scalars "
+                                  f"({2 ** 62} bytes) but 'huge.bin' holds 8 bytes")
+
+    def test_short_read_is_a_size_mismatch(self, tmp_path, monkeypatch):
+        # the file holds fewer bytes than its size said when it was opened
+        path = tmp_path / "m.json"
+        write_volume(Volume3D(np.ones((2, 2, 2), dtype="u1"), BINARY), str(path))
+        (tmp_path / "m.bin").write_bytes(bytes(6))
+        monkeypatch.setattr(os, "fstat", lambda fd: types.SimpleNamespace(st_size=8))
+        with pytest.raises(ParseError, match="'m.bin' holds 6 bytes"):
+            read_volume(str(path))
+
+    @pytest.mark.parametrize("name", ["m.json", "m.nrrd"])
+    def test_read_payload_is_kept_without_copy(self, tmp_path, name):
+        rng = np.random.default_rng(3)
+        vol = Volume3D(rng.random((5, 6, 7)).astype("<f4"), PROBABILITY)
+        write_volume(vol, str(tmp_path / name))
+        back = read_volume(str(tmp_path / name))
+        assert type(back.data) is np.ndarray and not back.data.flags.owndata
+        assert not back.data.flags.writeable and back.data.flags.c_contiguous
+        assert back.data.tobytes() == vol.data.tobytes()
 
     def test_missing_field(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -289,7 +323,7 @@ class TestRawJsonIO:
             read_volume(str(path))
 
     @pytest.mark.parametrize("data_file", ["../out/m.bin", "sub/../../m.bin", "..", "/abs/m.bin",
-                                           "..\\m.bin", 7, None, ["m.bin"], "m\u0000.bin"])
+                                           "..\\m.bin", 7, None, ["m.bin"], "m\u0000.bin", ""])
     def test_data_file_outside_header_directory(self, tmp_path, data_file):
         (tmp_path / "out").mkdir()
         (tmp_path / "out" / "m.bin").write_bytes(bytes(8))
