@@ -16,6 +16,7 @@ run with exit 2.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -37,6 +38,7 @@ from .volume import PROBABILITY, check_tau, read_volume, threshold, write_volume
 
 SCHEMA = 1
 VOLUME_EXTENSIONS = (".json", ".nrrd")
+INFLATIONS = {"center": inflate_mod.inflate_center, "average": inflate_mod.inflate_average}
 
 
 def _dumps(payload) -> str:
@@ -59,10 +61,15 @@ def _stems(directory, extensions):
     return stems
 
 
-def _run_batch(args, extensions, evaluate_pair):
-    """Evaluate --pred-dir/--gt-dir files paired by stem; one error entry per bad file."""
+def _run_pairs(args, parser, extensions, evaluate_pair):
+    """Evaluate --pred/--gt, or the --pred-dir/--gt-dir files paired by stem
+    with one error entry per bad file."""
+    single = args.pred is not None and args.gt is not None
+    if single == (args.pred_dir is not None and args.gt_dir is not None):
+        parser.error("provide either --pred/--gt or --pred-dir/--gt-dir")
+    if single:
+        return {"schema": SCHEMA, **evaluate_pair(args.pred, args.gt)}
     pred_stems, gt_stems = (_stems(d, extensions) for d in (args.pred_dir, args.gt_dir))
-    order = sorted(pred_stems)
 
     def run_one(stem):
         if stem not in gt_stems:
@@ -78,15 +85,7 @@ def _run_batch(args, extensions, evaluate_pair):
             return {"stem": stem, "error": str(exc), "error_kind": "io"}
         return {"stem": stem, **result}
 
-    return {"schema": SCHEMA, "results": [run_one(stem) for stem in order]}
-
-
-def _require_pair_mode(args, parser):
-    single = args.pred is not None and args.gt is not None
-    batch = args.pred_dir is not None and args.gt_dir is not None
-    if single == batch:
-        parser.error("provide either --pred/--gt or --pred-dir/--gt-dir")
-    return single
+    return {"schema": SCHEMA, "results": [run_one(stem) for stem in sorted(pred_stems)]}
 
 
 # ---------------------------------------------------------------------------
@@ -101,9 +100,7 @@ def _cmd_seg_eval(args, parser):
         report = evaluate_segmentation(pred, gt)
         return {**report.to_json_obj(), "params": {"tau": args.tau}}
 
-    if _require_pair_mode(args, parser):
-        return {"schema": SCHEMA, **evaluate_pair(args.pred, args.gt)}
-    return _run_batch(args, VOLUME_EXTENSIONS, evaluate_pair)
+    return _run_pairs(args, parser, VOLUME_EXTENSIONS, evaluate_pair)
 
 
 def _cmd_trace_eval(args, parser):
@@ -116,9 +113,7 @@ def _cmd_trace_eval(args, parser):
                                 theta=args.theta, resample_step=args.resample)
         return report.to_json_obj()
 
-    if _require_pair_mode(args, parser):
-        return {"schema": SCHEMA, **evaluate_pair(args.pred, args.gt)}
-    return _run_batch(args, ".swc", evaluate_pair)
+    return _run_pairs(args, parser, ".swc", evaluate_pair)
 
 
 def _parse_weights(text):
@@ -138,18 +133,10 @@ def _cmd_tasl(args, parser):
 
     def evaluate_pair(pred_path, gt_path):
         breakdown = skeleton_loss(read_volume(pred_path), read_volume(gt_path), weights)
-        return {
-            "l_node": breakdown.l_node,
-            "l_edge": breakdown.l_edge,
-            "l_path": breakdown.l_path,
-            "total": breakdown.total,
-            "degenerate": breakdown.degenerate,
-            "params": {"tau": args.tau, "r": args.r, "weights": list(lam), "eps": args.eps},
-        }
+        return {**dataclasses.asdict(breakdown),
+                "params": {"tau": args.tau, "r": args.r, "weights": list(lam), "eps": args.eps}}
 
-    if _require_pair_mode(args, parser):
-        return {"schema": SCHEMA, **evaluate_pair(args.pred, args.gt)}
-    return _run_batch(args, VOLUME_EXTENSIONS, evaluate_pair)
+    return _run_pairs(args, parser, VOLUME_EXTENSIONS, evaluate_pair)
 
 
 def _cmd_loss(args, parser):
@@ -196,11 +183,10 @@ def _cmd_graph(args, parser):
 
 
 def _cmd_inflate(args, parser):
+    if args.kernel is None or args.kd is None or args.out is None:
+        parser.error("inflate requires --kernel, --kd and --out")
     kernel = inflate_mod.read_kernel2d(args.kernel)
-    if args.mode == "center":
-        k3 = inflate_mod.inflate_center(kernel, args.kd)
-    else:
-        k3 = inflate_mod.inflate_average(kernel, args.kd)
+    k3 = INFLATIONS[args.mode](kernel, args.kd)
     inflate_mod.write_tensor(k3.weights, args.out)
     return {"schema": SCHEMA, "out": args.out, "mode": args.mode,
             "kd": args.kd, "shape": list(k3.shape)}
@@ -213,17 +199,15 @@ def _cmd_inflate_verify(args, parser):
     field = np.repeat(vol.data.astype(np.float64)[None, ...], c_in, axis=0)
     center_res = inflate_mod.center_inflation_residual(field, kernel, args.kd)
     average_res = inflate_mod.average_inflation_residual(field, kernel, args.kd)
-    center_mass = float(np.abs(
-        inflate_mod.inflate_center(kernel, args.kd).depth_sum() - kernel.weights).max())
-    average_mass = float(np.abs(
-        inflate_mod.inflate_average(kernel, args.kd).depth_sum() - kernel.weights).max())
+    mass = {mode: float(np.abs(inflate(kernel, args.kd).depth_sum() - kernel.weights).max())
+            for mode, inflate in INFLATIONS.items()}
     return {
         "schema": SCHEMA,
         "kd": args.kd,
         "center_max_residual": center_res,
         "average_interior_max_residual": average_res,
-        "center_depth_sum_max_error": center_mass,
-        "average_depth_sum_max_error": average_mass,
+        "center_depth_sum_max_error": mass["center"],
+        "average_depth_sum_max_error": mass["average"],
     }
 
 
@@ -231,9 +215,7 @@ def _cmd_synth(args, parser):
     doc = rawjson.load_object(args.spec)
     if "seed" not in doc:
         raise ValidationError(f"{args.spec}: expected an object with at least a 'seed' field")
-    known = {"seed", "dims", "n_branch_points", "segment_length", "tube_radius",
-             "noise_sigma", "blur_sigma"}
-    unknown = set(doc) - known
+    unknown = set(doc) - {field.name for field in dataclasses.fields(synth_mod.SynthSpec)}
     if unknown:
         raise ValidationError(f"{args.spec}: unknown field(s) {sorted(unknown)}")
     spec = synth_mod.SynthSpec(**doc)
@@ -310,9 +292,9 @@ def build_parser():
     inflate_sub = p.add_subparsers(dest="inflate_command")
     p.add_argument("--kernel", help="2D kernel tensor (shape c_out,c_in,k_h,k_w)")
     p.add_argument("--kd", type=int, help="target kernel depth")
-    p.add_argument("--mode", choices=("center", "average"), default="center")
+    p.add_argument("--mode", choices=tuple(INFLATIONS), default="center")
     p.add_argument("--out", help="output 3D kernel tensor path")
-    p.set_defaults(handler=_cmd_inflate_dispatch)
+    p.set_defaults(handler=_cmd_inflate)
 
     v = inflate_sub.add_parser("verify", help="report inflation equivalence residuals")
     v.add_argument("--kernel", required=True)
@@ -326,12 +308,6 @@ def build_parser():
     p.set_defaults(handler=_cmd_synth)
 
     return parser
-
-
-def _cmd_inflate_dispatch(args, parser):
-    if args.kernel is None or args.kd is None or args.out is None:
-        parser.error("inflate requires --kernel, --kd and --out")
-    return _cmd_inflate(args, parser)
 
 
 def main(argv=None) -> int:

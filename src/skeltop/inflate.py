@@ -20,45 +20,43 @@ from . import rawjson
 from .errors import ParseError, ValidationError
 
 
-def _validate_weights(weights, ndim, what):
-    arr = np.asarray(weights, dtype=np.float64)
-    if arr.ndim != ndim:
-        raise ValidationError(f"{what} weights must be {ndim}-dimensional, got shape {arr.shape}")
-    if min(arr.shape) < 1:
-        raise ValidationError(f"{what} has a zero-length axis: {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValidationError(f"{what} weights contain non-finite values")
-    arr = np.ascontiguousarray(arr).copy()
-    arr.flags.writeable = False
-    return arr
+@dataclass(frozen=True)
+class _Kernel:
+    """Read-only float64 convolution weights; each subclass sets the rank, `_RANK`."""
+
+    weights: np.ndarray
+
+    def __post_init__(self):
+        what = f"{self._RANK - 2}D kernel"
+        arr = np.asarray(self.weights, dtype=np.float64)
+        if arr.ndim != self._RANK:
+            raise ValidationError(
+                f"{what} weights must be {self._RANK}-dimensional, got shape {arr.shape}")
+        if min(arr.shape) < 1:
+            raise ValidationError(f"{what} has a zero-length axis: {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise ValidationError(f"{what} weights contain non-finite values")
+        arr = np.ascontiguousarray(arr).copy()
+        arr.flags.writeable = False
+        object.__setattr__(self, "weights", arr)
+
+    @property
+    def shape(self):
+        return self.weights.shape
 
 
 @dataclass(frozen=True)
-class Kernel2D:
+class Kernel2D(_Kernel):
     """Convolution weights of shape (c_out, c_in, k_h, k_w)."""
 
-    weights: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "weights", _validate_weights(self.weights, 4, "2D kernel"))
-
-    @property
-    def shape(self):
-        return self.weights.shape
+    _RANK = 4
 
 
 @dataclass(frozen=True)
-class Kernel3D:
+class Kernel3D(_Kernel):
     """Convolution weights of shape (c_out, c_in, k_d, k_h, k_w)."""
 
-    weights: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "weights", _validate_weights(self.weights, 5, "3D kernel"))
-
-    @property
-    def shape(self):
-        return self.weights.shape
+    _RANK = 5
 
     def depth_sum(self) -> np.ndarray:
         return self.weights.sum(axis=2)
@@ -88,28 +86,16 @@ def _out_len(n, k, s):
 
 def conv2d(img: np.ndarray, k: Kernel2D, stride: int = 1) -> np.ndarray:
     """Direct cross-correlation of a (c_in, H, W) field, half-kernel zero
-    padding, stride >= 1. Returns (c_out, H', W')."""
+    padding, stride >= 1. Returns (c_out, H', W').
+
+    This is `conv3d` on a depth-1 field with the depth-1 center inflation
+    of `k`, which is the same sum in the same order."""
     img = np.asarray(img, dtype=np.float64)
     if img.ndim != 3:
         raise ValidationError(f"conv2d input must be (c_in, H, W), got shape {img.shape}")
-    co, ci, kh, kw = k.shape
-    if img.shape[0] != ci:
-        raise ValidationError(f"input has {img.shape[0]} channels, kernel expects {ci}")
     if stride < 1:
         raise ValidationError(f"stride must be >= 1, got {stride}")
-    _, h, w = img.shape
-    oh, ow = _out_len(h, kh, stride), _out_len(w, kw, stride)
-    if oh < 1 or ow < 1:
-        raise ValidationError(f"zero-size conv2d output for input {img.shape} kernel {k.shape}")
-    padded = np.zeros((ci, h + 2 * (kh // 2), w + 2 * (kw // 2)), dtype=np.float64)
-    padded[:, kh // 2:kh // 2 + h, kw // 2:kw // 2 + w] = img
-    out = np.zeros((co, oh, ow), dtype=np.float64)
-    for u in range(kh):
-        for v in range(kw):
-            patch = padded[:, u:u + stride * (oh - 1) + 1:stride,
-                           v:v + stride * (ow - 1) + 1:stride]
-            out += np.einsum("oc,chw->ohw", k.weights[:, :, u, v], patch)
-    return out
+    return conv3d(img[:, None], inflate_center(k, 1), (1, stride, stride))[:, 0]
 
 
 def conv3d(vol: np.ndarray, k: Kernel3D, stride=(1, 1, 1)) -> np.ndarray:
@@ -144,13 +130,9 @@ def conv3d(vol: np.ndarray, k: Kernel3D, stride=(1, 1, 1)) -> np.ndarray:
 
 def center_inflation_residual(vol: np.ndarray, k: Kernel2D, k_d: int) -> float:
     """Max abs difference between conv3d with the center-inflated kernel
-    and per-depth-slice conv2d, over all output depths (stride 1)."""
-    full = conv3d(vol, inflate_center(k, k_d))
-    worst = 0.0
-    for t in range(vol.shape[1]):
-        ref = conv2d(vol[:, t], k)
-        worst = max(worst, float(np.abs(full[:, t] - ref).max()))
-    return worst
+    and per-depth-slice conv2d, over the input's depths (stride 1)."""
+    full = conv3d(vol, inflate_center(k, k_d))[:, :vol.shape[1]]
+    return float(np.abs(full - conv3d(vol, inflate_center(k, 1))).max())
 
 
 def average_inflation_residual(vol: np.ndarray, k: Kernel2D, k_d: int) -> float:
@@ -165,10 +147,7 @@ def average_inflation_residual(vol: np.ndarray, k: Kernel2D, k_d: int) -> float:
     if lo >= hi:
         raise ValidationError(
             f"volume depth {vol.shape[1]} leaves no interior slices for kernel depth {k_d}")
-    worst = 0.0
-    for t in range(lo, hi):
-        worst = max(worst, float(np.abs(full[:, t] - ref).max()))
-    return worst
+    return float(np.abs(full[:, lo:hi] - ref[:, None]).max())
 
 
 # ---------------------------------------------------------------------------

@@ -10,20 +10,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError, check_positive_finite
-from .volume import BINARY, Volume3D
+from .volume import BINARY, Volume3D, check_same_dims
 
 CE_CLAMP = 1e-7
 DICE_EPSILON = 1e-8
 
 
-def _check_dims(p: Volume3D, g: Volume3D):
-    if p.dims != g.dims:
-        raise ValidationError(f"volume dims {tuple(p.dims)} do not match {tuple(g.dims)}")
-
-
 def dice_loss(p: Volume3D, g: Volume3D, epsilon: float = DICE_EPSILON) -> float:
     """1 - 2*sum(p*g) / (sum(p^2) + sum(g^2) + epsilon)."""
-    _check_dims(p, g)
+    check_same_dims(p, g)
     check_positive_finite("epsilon", epsilon)
     pv = p.data.ravel().astype(np.float64)
     gv = g.data.ravel().astype(np.float64)
@@ -40,7 +35,7 @@ def ce_loss(p: Volume3D, g: Volume3D, clamp: float = CE_CLAMP) -> float:
     log1p(-p) where g = 0. That is exactly the general formula's value,
     whose other product is a signed zero.
     """
-    _check_dims(p, g)
+    check_same_dims(p, g)
     pv = np.clip(p.data.ravel().astype(np.float64), clamp, 1.0 - clamp)
     if g.kind == BINARY:
         fg = g.bool_data().ravel()

@@ -81,6 +81,8 @@ def read_payload(path, header, count):
             f"{path}: field 'data_file' must be a relative path inside the header's "
             f"directory, got {data_file!r}")
     payload_path = os.path.join(os.path.dirname(os.path.abspath(path)), data_file)
+    if os.path.isdir(payload_path):
+        raise ParseError(f"{path}: field 'data_file' must name a file, got directory {data_file!r}")
     dtype = DTYPES[dtype_name]
     with open(payload_path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import spatial
 from .errors import UndefinedMetricError, ValidationError
-from .volume import BINARY, Volume3D, surface_voxel_array
+from .volume import BINARY, Volume3D, check_same_dims, surface_voxel_array
 
 DIRECTED = "directed"
 SYMMETRIC = "symmetric"
@@ -23,9 +23,7 @@ def _check_binary_pair(pred: Volume3D, gt: Volume3D):
     for name, vol in (("prediction", pred), ("ground truth", gt)):
         if vol.kind != BINARY:
             raise ValidationError(f"{name} must be a binary volume, got kind '{vol.kind}'")
-    if pred.dims != gt.dims:
-        raise ValidationError(
-            f"prediction dims {tuple(pred.dims)} do not match ground truth dims {tuple(gt.dims)}")
+    check_same_dims(pred, gt)
 
 
 def precision_recall_f1(pred: Volume3D, gt: Volume3D):
@@ -58,8 +56,16 @@ def _surface_points(vol: Volume3D, use_spacing: bool) -> np.ndarray:
     return pts
 
 
-def _directed_hd95(from_surface, to_surface) -> float:
-    return nearest_rank_percentile(spatial.min_dists_to_set(from_surface, to_surface), 0.95)
+def _hd95_values(pred: Volume3D, gt: Volume3D, use_spacing: bool, symmetric: bool):
+    """(directed HD95, symmetric HD95 or None), each surface in its own
+    volume's spacing when `use_spacing`; one NN query unless `symmetric`."""
+    pred_surface = _surface_points(pred, use_spacing)
+    gt_surface = _surface_points(gt, use_spacing)
+    directed = nearest_rank_percentile(spatial.min_dists_to_set(pred_surface, gt_surface), 0.95)
+    if not symmetric:
+        return directed, None
+    reverse = nearest_rank_percentile(spatial.min_dists_to_set(gt_surface, pred_surface), 0.95)
+    return directed, max(directed, reverse)
 
 
 def hd95(pred: Volume3D, gt: Volume3D, mode: str = DIRECTED,
@@ -70,10 +76,8 @@ def hd95(pred: Volume3D, gt: Volume3D, mode: str = DIRECTED,
     _check_binary_pair(pred, gt)
     if pred.foreground_count() == 0 or gt.foreground_count() == 0:
         raise UndefinedMetricError("hd95 is undefined when either mask is empty")
-    pred_surface = _surface_points(pred, use_spacing)
-    gt_surface = _surface_points(gt, use_spacing)
-    fwd = _directed_hd95(pred_surface, gt_surface)
-    return fwd if mode == DIRECTED else max(fwd, _directed_hd95(gt_surface, pred_surface))
+    directed, symmetric = _hd95_values(pred, gt, use_spacing, mode == SYMMETRIC)
+    return directed if mode == DIRECTED else symmetric
 
 
 @dataclass(frozen=True)
@@ -104,10 +108,7 @@ def evaluate_segmentation(pred: Volume3D, gt: Volume3D,
                           use_spacing: bool = False) -> SegReport:
     precision, recall, f1, counts = precision_recall_f1(pred, gt)
     if pred.foreground_count() and gt.foreground_count():
-        pred_surface = _surface_points(pred, use_spacing)
-        gt_surface = _surface_points(gt, use_spacing)
-        directed = _directed_hd95(pred_surface, gt_surface)
-        symmetric = max(directed, _directed_hd95(gt_surface, pred_surface))
+        directed, symmetric = _hd95_values(pred, gt, use_spacing, True)
     else:
         directed = symmetric = None
     return SegReport(100.0 * precision, 100.0 * recall, 100.0 * f1,

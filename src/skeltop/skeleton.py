@@ -14,7 +14,7 @@ import numpy as np
 
 from . import thinning
 from .errors import ValidationError, check_positive_finite
-from .volume import BINARY, Volume3D
+from .volume import BINARY, Volume3D, check_binary
 
 DEFAULT_RADIUS = 2.0
 _LOOKUP_BUDGET = 1 << 16  # node-run lookups per block; bounds peak memory for large r
@@ -27,8 +27,7 @@ def skeletonize(mask: Volume3D) -> Volume3D:
     of 26-connected components, contains no 2x2x2 solid block, and is a
     fixpoint (skeletonizing again changes nothing).
     """
-    if mask.kind != BINARY:
-        raise ValidationError(f"skeletonize requires a binary volume, got kind '{mask.kind}'")
+    check_binary(mask, "skeletonize")
     return Volume3D(thinning.thin(mask.bool_data()), BINARY, mask.spacing)
 
 
@@ -97,8 +96,7 @@ class SkeletonGraph:
 
 
 def _skeleton_nodes(skel: Volume3D) -> np.ndarray:
-    if skel.kind != BINARY:
-        raise ValidationError(f"graph construction requires a binary volume, got '{skel.kind}'")
+    check_binary(skel, "graph construction")
     flat = np.flatnonzero(skel.data)  # ascending flat index is argwhere order
     return np.stack(np.unravel_index(flat, skel.dims), axis=1).astype(np.int64)
 

@@ -20,7 +20,7 @@ import numpy as np
 from . import spatial, thinning
 from .errors import EmptyGraphError, ValidationError, check_positive_finite
 from .skeleton import DEFAULT_RADIUS, SkeletonGraph, graph_from_skeleton, mean_component_size
-from .volume import BINARY, PROBABILITY, Volume3D, threshold
+from .volume import BINARY, PROBABILITY, Volume3D, check_same_dims, threshold
 
 DEFAULT_EPSILON = 1e-8
 
@@ -104,9 +104,7 @@ def skeleton_loss(pred: Volume3D, gt: Volume3D,
     box while the edge and path terms keep their formula values.
     """
     w = weights if weights is not None else SkeletonLossWeights()
-    if pred.dims != gt.dims:
-        raise ValidationError(
-            f"prediction dims {tuple(pred.dims)} do not match ground truth dims {tuple(gt.dims)}")
+    check_same_dims(pred, gt)
     if gt.kind != BINARY:
         raise ValidationError(f"ground truth must be binary, got kind '{gt.kind}'")
     pred_bin = threshold(pred, w.tau) if pred.kind == PROBABILITY else pred

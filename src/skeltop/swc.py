@@ -91,12 +91,12 @@ def _validate_structure(records):
     # cycle check: follow parent chains, memoizing ids known to reach a root
     safe = set()
     for idx, rec in enumerate(records):
-        chain = []
+        chain = set()
         cur = rec
         while cur.id not in safe:
             if cur.id in chain:
                 raise _RecordError(idx, f"parent chain of id {rec.id} contains a cycle")
-            chain.append(cur.id)
+            chain.add(cur.id)
             if cur.parent == -1:
                 break
             cur = table[cur.parent]

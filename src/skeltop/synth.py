@@ -58,23 +58,23 @@ class SynthSpec:
 
 
 def _integer(value, name):
-    """An integral number (3 and 3.0 pass; "3", 2.5 and nan do not)."""
+    """An integral number (3 and 3.0 pass; "3", 2.5, nan and booleans do not)."""
     try:
         out = int(value)
     except (TypeError, ValueError, OverflowError):
         out = None
-    if out is None or isinstance(value, str) or out != value:
+    if out is None or isinstance(value, (str, bool, np.bool_)) or out != value:
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     return out
 
 
 def _real(value, name):
-    """A finite real number."""
+    """A finite real number; a boolean is not one."""
     try:
         out = float(value)
     except (TypeError, ValueError, OverflowError):
         out = math.nan
-    if isinstance(value, str) or not math.isfinite(out):
+    if isinstance(value, (str, bool, np.bool_)) or not math.isfinite(out):
         raise ValidationError(f"{name} must be a finite number, got {value!r}")
     return out
 

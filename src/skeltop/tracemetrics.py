@@ -12,7 +12,7 @@ counts proportional to arc length):
 * pds: mismatched node fraction counted over both traces together.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -79,15 +79,7 @@ class TraceReport:
     resample_step: float | None = None
 
     def to_json_obj(self):
-        return {
-            "esa": self.esa,
-            "dsa": self.dsa,
-            "pds": self.pds,
-            "match_threshold": self.match_threshold,
-            "n_pred": self.n_pred,
-            "n_gt": self.n_gt,
-            "resample_step": self.resample_step,
-        }
+        return asdict(self)
 
 
 def evaluate_trace(pred: Morphology, gt: Morphology,

@@ -95,7 +95,15 @@ def check_tau(tau):
         raise ValidationError(f"tau must lie in the open interval (0, 1), got {tau}")
 
 
-def _require_binary(vol: Volume3D, what: str):
+def check_same_dims(pred: Volume3D, gt: Volume3D):
+    """Raise ValidationError unless the prediction and ground truth dims agree."""
+    if pred.dims != gt.dims:
+        raise ValidationError(
+            f"prediction dims {tuple(pred.dims)} do not match ground truth dims {tuple(gt.dims)}")
+
+
+def check_binary(vol: Volume3D, what: str):
+    """Raise ValidationError unless `vol` is binary; `what` names the operation."""
     if vol.kind != BINARY:
         raise ValidationError(f"{what} requires a binary volume, got kind '{vol.kind}'")
 
@@ -103,7 +111,7 @@ def _require_binary(vol: Volume3D, what: str):
 def surface_voxel_array(mask: Volume3D) -> np.ndarray:
     """Foreground voxels with at least one 6-neighbor that is background
     or outside the volume, as an (n, 3) int array in (z, y, x) order."""
-    _require_binary(mask, "surface extraction")
+    check_binary(mask, "surface extraction")
     padded = np.zeros(tuple(n + 2 for n in mask.dims), dtype=bool)
     padded[1:-1, 1:-1, 1:-1] = mask.data
     flat = padded.ravel()

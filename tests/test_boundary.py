@@ -79,6 +79,7 @@ RAWJSON_CASES = [
     ("data_file_list", "data_file", []), ("data_file_parent", "data_file", "../pred.bin"),
     ("data_file_absolute", "data_file", "/pred.bin"), ("data_file_nul", "data_file", "a\0b"),
     ("data_file_missing_file", "data_file", "nothing.bin"), ("data_file_empty", "data_file", ""),
+    ("data_file_dot", "data_file", "."), ("data_file_dot_slash", "data_file", "./"),
 ]
 
 RAWJSON_TEXTS = [
@@ -155,7 +156,8 @@ def test_rawjson_batch_keeps_good_entries(capsys, good, tmp_path):
     by_stem = {e["stem"]: e for e in json.loads(out)["results"]}
     assert sorted(by_stem) == sorted(bad + ["a_good", "z_good"])
     for name in bad:
-        assert by_stem[name]["error_kind"] in ("parse", "io"), by_stem[name]
+        want = "io" if RAWJSON_EXPECTED.get(name, (2,))[0] == 1 else "parse"
+        assert by_stem[name]["error_kind"] == want, by_stem[name]
     _, single, _ = run(capsys, "seg-eval", "--pred", good / "pred.json", "--gt", good / "gt.json")
     expected = {k: v for k, v in json.loads(single).items() if k != "schema"}
     for stem in ("a_good", "z_good"):
@@ -190,6 +192,28 @@ def test_integer_beyond_float_range(capsys, tmp_path, command, doc):
     flag = ("--scales",) if command == "loss" else ("--out-prefix", tmp_path / "fix", "--spec")
     code, _ = assert_rejected(capsys, command, *flag, path)
     assert code == 2
+
+
+# (spec, the whole error message): a JSON boolean is not a number
+SYNTH_CASES = [
+    ({"seed": True}, "seed must be an integer, got True"),
+    ({"seed": 1, "dims": [True, 16, 16]}, "dims must be an integer, got True"),
+    ({"seed": 1, "dims": True}, "dims must be a sequence of 3 numbers, got True"),
+    ({"seed": 1, "n_branch_points": False}, "n_branch_points must be an integer, got False"),
+    ({"seed": 1, "segment_length": [True, 5]}, "segment_length must be a finite number, got True"),
+    ({"seed": 1, "tube_radius": True}, "tube_radius must be a finite number, got True"),
+    ({"seed": 1, "noise_sigma": False}, "noise_sigma must be a finite number, got False"),
+    ({"seed": 1, "blur_sigma": True}, "blur_sigma must be a finite number, got True"),
+]
+
+
+@pytest.mark.parametrize("doc,message", SYNTH_CASES, ids=[m.split()[0] for _, m in SYNTH_CASES])
+def test_synth_spec_field(capsys, tmp_path, doc, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    code, err = assert_rejected(capsys, "synth", "--spec", path, "--out-prefix", tmp_path / "fix")
+    assert code == 2 and err == f"error: {message}\n", err
+    assert list(tmp_path.iterdir()) == [path]
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skeltop import (Kernel2D, ParseError, ValidationError, conv2d, conv3d,
+import inflate_reference
+from skeltop import (Kernel2D, Kernel3D, ParseError, ValidationError, conv2d, conv3d,
                      inflate_average, inflate_center, read_tensor,
                      write_tensor)
 from skeltop.inflate import (average_inflation_residual,
@@ -178,6 +181,99 @@ class TestEquivalence:
         vol = rng.normal(size=(2, 8, 6, 6))
         k = Kernel2D(rng.normal(size=(2, 2, 3, 3)))
         assert average_inflation_residual(vol, k, kd) <= 1e-6
+
+
+class TestMatchesReference:
+    """conv2d and the residuals against the stand-alone einsum conv2d and
+    per-slice loops in tests/inflate_reference.py, bit for bit."""
+
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 4), st.integers(1, 3),
+           st.integers(1, 5), st.integers(1, 5), st.integers(1, 9), st.integers(1, 9),
+           st.integers(1, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_conv2d(self, seed, co, ci, kh, kw, h, w, stride):
+        rng = np.random.default_rng(seed)
+        img = rng.normal(size=(ci, h, w))
+        k = Kernel2D(rng.normal(size=(co, ci, kh, kw)))
+        assert np.array_equal(conv2d(img, k, stride), inflate_reference.conv2d(img, k, stride))
+
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 3), st.integers(1, 3),
+           st.integers(1, 4), st.integers(1, 4), st.integers(1, 7), st.integers(1, 7),
+           st.integers(1, 6), st.integers(1, 5))
+    @settings(max_examples=80, deadline=None)
+    def test_residuals(self, seed, co, ci, kh, kw, h, w, d, kd):
+        rng = np.random.default_rng(seed)
+        vol = rng.normal(size=(ci, d, h, w))
+        k = Kernel2D(rng.normal(size=(co, ci, kh, kw)))
+        if (h, w, kh, kw) == (1, 1, 1, 1) and d > 1:
+            # single-pixel slices: see test_center_residual_single_pixel_slices
+            assert center_inflation_residual(vol, k, kd) == 0.0
+            assert inflate_reference.center_inflation_residual(vol, k, kd) <= 1e-12
+        else:
+            assert (center_inflation_residual(vol, k, kd)
+                    == inflate_reference.center_inflation_residual(vol, k, kd))
+        if kd // 2 < d - kd // 2:
+            assert (average_inflation_residual(vol, k, kd)
+                    == inflate_reference.average_inflation_residual(vol, k, kd))
+        else:
+            with pytest.raises(ValidationError, match="no interior slices"):
+                average_inflation_residual(vol, k, kd)
+
+    def test_center_residual_single_pixel_slices(self):
+        """With 1x1 slices and a 1x1 kernel, each slice's channel axis is
+        contiguous, and numpy sums a contiguous axis in another order than
+        the strided one conv3d sees. The per-slice reference then differs
+        from conv3d by rounding; the batched reference uses conv3d's order,
+        so the residual is exactly 0."""
+        rng = np.random.default_rng(0)
+        vol = rng.normal(size=(3, 2, 1, 1))
+        k = Kernel2D(rng.normal(size=(1, 3, 1, 1)))
+        assert inflate_reference.center_inflation_residual(vol, k, 1) == 2.220446049250313e-16
+        assert center_inflation_residual(vol, k, 1) == 0.0
+
+    def test_conv2d_input_checks(self):
+        k = rand_kernel(17, ci=2)
+        with pytest.raises(ValidationError, match=r"conv2d input must be \(c_in, H, W\)"):
+            conv2d(np.zeros((2, 1, 5, 5)), k)
+        with pytest.raises(ValidationError, match="stride must be >= 1, got 0"):
+            conv2d(np.zeros((2, 5, 5)), k, 0)
+        with pytest.raises(ValidationError, match="input has 3 channels, kernel expects 2"):
+            conv2d(np.zeros((3, 5, 5)), k)
+
+
+class TestKernelClasses:
+    @pytest.mark.parametrize("cls, rank, what", [(Kernel2D, 4, "2D kernel"),
+                                                 (Kernel3D, 5, "3D kernel")])
+    def test_validation_messages(self, cls, rank, what):
+        with pytest.raises(ValidationError) as exc:
+            cls(np.ones((3, 3)))
+        assert str(exc.value) == f"{what} weights must be {rank}-dimensional, got shape (3, 3)"
+        zero = (1,) * (rank - 1) + (0,)
+        with pytest.raises(ValidationError) as exc:
+            cls(np.ones(zero))
+        assert str(exc.value) == f"{what} has a zero-length axis: {zero}"
+        bad = np.ones((1,) * rank)
+        bad.flat[0] = np.inf
+        with pytest.raises(ValidationError) as exc:
+            cls(bad)
+        assert str(exc.value) == f"{what} weights contain non-finite values"
+
+    def test_frozen_read_only_copy(self):
+        src = np.ones((1, 1, 2, 2, 2), dtype=np.float32)
+        k = Kernel3D(src)
+        src[0, 0, 0, 0, 0] = 5.0
+        assert k.weights.dtype == np.float64 and k.weights.flags.c_contiguous
+        assert not k.weights.flags.writeable and k.weights.max() == 1.0
+        assert k.shape == (1, 1, 2, 2, 2)
+        assert np.array_equal(k.depth_sum(), np.full((1, 1, 2, 2), 2.0))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            k.weights = np.zeros((1, 1, 1, 1, 1))
+
+    def test_distinct_classes(self):
+        assert not issubclass(Kernel2D, Kernel3D) and not issubclass(Kernel3D, Kernel2D)
+        assert not hasattr(Kernel2D, "depth_sum")
+        assert [f.name for f in dataclasses.fields(Kernel2D)] == ["weights"]
+        assert Kernel2D(np.ones((1, 1, 1, 1))) != Kernel3D(np.ones((1, 1, 1, 1, 1)))
 
 
 class TestTensorIO:

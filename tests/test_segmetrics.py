@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from skeltop import (BINARY, UndefinedMetricError, ValidationError, Volume3D,
                      evaluate_segmentation, hd95, nearest_rank_percentile,
                      precision_recall_f1)
+from skeltop import spatial
+from skeltop.segmetrics import DIRECTED, SYMMETRIC
 
 from conftest import brute_min_dists, brute_surface_voxels
 
@@ -156,6 +158,44 @@ class TestHd95:
         va = Volume3D(a.astype("u1"), BINARY, spacing=(1.0, 1.0, 0.5))
         vb = Volume3D(b.astype("u1"), BINARY, spacing=(1.0, 1.0, 0.5))
         assert hd95(va, vb, use_spacing=True) == 2.5
+
+    def test_each_side_in_its_own_spacing(self):
+        """Each surface is scaled by its own volume's spacing. Scaling both
+        by the prediction's spacing would give 4.82 / 6.0, by the ground
+        truth's 6.0 / 6.0."""
+        pm = np.zeros((8, 9, 10))
+        pm[2:6, 1:5, 3:9] = 1
+        pm[6, 7, 1] = 1
+        gm = np.zeros((8, 9, 10))
+        gm[1:4, 3:8, 2:6] = 1
+        gm[5:7, 6:8, 7:9] = 1
+        pred = Volume3D(pm.astype("u1"), BINARY, spacing=(0.5, 2.0, 1.25))
+        gt = Volume3D(gm.astype("u1"), BINARY, spacing=(3.0, 0.75, 1.5))
+        want = {False: (3.605551275463989, 3.605551275463989),
+                True: (3.75, 15.5161206491829)}
+        for use_spacing, (directed, symmetric) in want.items():
+            assert hd95(pred, gt, DIRECTED, use_spacing) == directed
+            assert hd95(pred, gt, SYMMETRIC, use_spacing) == symmetric
+            report = evaluate_segmentation(pred, gt, use_spacing=use_spacing)
+            assert (report.hd95_directed, report.hd95_symmetric) == (directed, symmetric)
+
+    def test_nn_queries_per_call(self, monkeypatch):
+        """Directed hd95 makes one nearest-neighbour query; symmetric hd95
+        and evaluate_segmentation make one per direction."""
+        calls = []
+        real = spatial.min_dists_to_set
+        monkeypatch.setattr(spatial, "min_dists_to_set",
+                            lambda q, t: calls.append(len(q)) or real(q, t))
+        m = np.zeros((6, 6, 6))
+        m[1:4, 1:4, 1:4] = 1
+        n = np.zeros((6, 6, 6))
+        n[2:5, 2:5, 1:2] = 1
+        for run, want in ((lambda: hd95(binary(m), binary(n)), [26]),
+                          (lambda: hd95(binary(m), binary(n), SYMMETRIC), [26, 9]),
+                          (lambda: evaluate_segmentation(binary(m), binary(n)), [26, 9])):
+            calls.clear()
+            run()
+            assert calls == want
 
 
 class TestSegReport:

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -84,6 +86,39 @@ class TestParse:
     def test_parent_before_child_not_required(self):
         m = parse_swc("2 3 1 0 0 1 1\n1 1 0 0 0 1 -1\n")
         assert [r.id for r in m.records] == [1, 2]
+
+    @pytest.mark.parametrize("text,message", [
+        ("# header\n5 1 0 0 0 1 -1\n3 3 1 0 0 1 4\n4 3 2 0 0 1 3\n",
+         "line 3: parent chain of id 3 contains a cycle"),
+        ("1 1 0 0 0 1 -1\n\n9 3 1 0 0 1 7\n2 3 1 0 0 1 1\n7 3 0 0 0 1 8\n8 3 0 0 0 1 9\n",
+         "line 5: parent chain of id 7 contains a cycle"),
+    ])
+    def test_cycle_message_and_line(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_swc(text)
+        assert str(exc.value) == message
+
+    def test_cycle_check_linear_in_chain_length(self):
+        """A chain whose parents follow their children in id order (legal
+        SWC) parses about as fast as one in forward order."""
+        n = 16000
+
+        def chain(reverse):
+            if reverse:
+                return "".join(f"{i} 3 {i} 0 0 1 {i + 1 if i < n else -1}\n" for i in range(1, n + 1))
+            return "".join(f"{i} 3 {i} 0 0 1 {i - 1 if i > 1 else -1}\n" for i in range(1, n + 1))
+
+        def best_time(text):
+            times = []
+            for _ in range(3):
+                start = time.perf_counter()
+                m = parse_swc(text)
+                times.append(time.perf_counter() - start)
+            assert len(m) == n
+            return min(times)
+
+        forward, reverse = best_time(chain(False)), best_time(chain(True))
+        assert reverse <= 3 * forward, (forward, reverse)
 
 
 class TestWrite:

@@ -71,6 +71,16 @@ class TestGenerateTree:
             with pytest.raises(ValidationError):
                 SynthSpec(**bad)
 
+    def test_numpy_numbers_pass_booleans_do_not(self):
+        spec = SynthSpec(seed=np.int64(3), dims=np.array([8, 9, 10]),
+                         segment_length=(np.float32(2.0), 3), tube_radius=np.float64(1.5))
+        assert spec == SynthSpec(seed=3, dims=(8, 9, 10), segment_length=(2.0, 3.0))
+        assert type(spec.seed) is int and type(spec.tube_radius) is float
+        for bad in ({"seed": np.True_}, {"seed": 0, "dims": (8, np.False_, 8)},
+                    {"seed": 0, "noise_sigma": np.False_}, {"seed": False}):
+            with pytest.raises(ValidationError, match="must be an? (integer|finite number)"):
+                SynthSpec(**bad)
+
 
 class TestRasterize:
     def test_single_component(self):
