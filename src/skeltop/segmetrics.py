@@ -42,11 +42,11 @@ def precision_recall_f1(pred: Volume3D, gt: Volume3D):
 
 def nearest_rank_percentile(values: np.ndarray, q: float) -> float:
     """ceil(q * n)-th smallest element of the sample."""
-    values = np.sort(np.asarray(values, dtype=np.float64).ravel())
+    values = np.asarray(values, dtype=np.float64).ravel()
     if len(values) == 0:
         raise UndefinedMetricError("percentile of an empty sample is undefined")
     k = max(1, ceil(q * len(values)))
-    return float(values[k - 1])
+    return float(np.partition(values, min(k, len(values)) - 1)[k - 1])  # q > 1 fails on the index
 
 
 def _surface_points(vol: Volume3D, use_spacing: bool) -> np.ndarray:
@@ -106,10 +106,10 @@ class SegReport:
 
 def evaluate_segmentation(pred: Volume3D, gt: Volume3D,
                           use_spacing: bool = False) -> SegReport:
-    precision, recall, f1, counts = precision_recall_f1(pred, gt)
-    if pred.foreground_count() and gt.foreground_count():
+    precision, recall, f1, (tp, fp, fn) = precision_recall_f1(pred, gt)
+    if tp + fp and tp + fn:  # foreground counts of pred and gt
         directed, symmetric = _hd95_values(pred, gt, use_spacing, True)
     else:
         directed = symmetric = None
     return SegReport(100.0 * precision, 100.0 * recall, 100.0 * f1,
-                     directed, symmetric, counts)
+                     directed, symmetric, (tp, fp, fn))

@@ -1,8 +1,6 @@
-"""Uniform-grid nearest-neighbor queries, in numpy alone.
-
-Serves nearest-neighbor distances from query points to a target set
-(surface and trace metrics, skeleton node terms). The distances equal
-the brute-force minimum over all targets bit for bit.
+"""Exact grid nearest-neighbor queries in numpy alone, for the surface and trace
+metrics and the skeleton node terms. Each distance equals the brute-force minimum
+bit for bit: a pair is skipped only when rounded arithmetic shows it no nearer.
 """
 
 import math
@@ -13,68 +11,89 @@ from .errors import ValidationError
 
 # (dz, dy) of the nine runs of three x-adjacent cells tiling a 27-neighborhood
 _RUNS = np.array([(dz, dy) for dz in (-1, 0, 1) for dy in (-1, 0, 1)], dtype=np.int64)
-_PAIR_BUDGET = 1 << 16  # query-target pairs per distance chunk; bounds peak memory
+_PAIR_BUDGET = 1 << 14  # elements per chunk of pairs or bounds; keeps temporaries in cache
 
 
 def _scan(best, q_cols, t_cols, owner, start, count):
-    """Lower best[owner[i]] to the squared distances from that query to
-    targets start[i]:start[i] + count[i], _PAIR_BUDGET pairs at a time."""
+    """Lower best[owner[i]] to the squared distances from that query to targets
+    start[i]:start[i] + count[i], _PAIR_BUDGET pairs at a time; owner is sorted."""
+    owner, start, count = (a[count > 0] for a in (owner, start, count))
     ends = np.cumsum(count)
     shift = start - (ends - count)  # target index minus pair index, per range
     for p0 in range(0, int(ends[-1]) if len(ends) else 0, _PAIR_BUDGET):
         p1 = min(int(ends[-1]), p0 + _PAIR_BUDGET)
-        # ranges r0 .. r1 - 1 hold pairs p0 .. p1 - 1; the first and last are clipped
-        r0, r1 = np.searchsorted(ends, [p0, p1 - 1], "right") + (0, 1)
-        clipped = np.minimum(ends[r0:r1], p1) - np.maximum(ends[r0:r1] - count[r0:r1], p0)
-        r = np.repeat(np.arange(r0, r1), clipped)
-        pos, who = shift[r] + np.arange(p0, p1), owner[r]
-        d = [tc[pos] - qc[who] for tc, qc in zip(t_cols, q_cols)]
-        # ((t - q) ** 2).sum(axis=1) term by term, in the same order
-        np.minimum.at(best, who, d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
+        r0, r1 = np.searchsorted(ends, [p0, p1 - 1], "right") + (0, 1)  # ranges holding the chunk
+        first = np.maximum(ends[r0:r1] - count[r0:r1], p0) - p0
+        n, who = np.minimum(ends[r0:r1], p1) - p0 - first, owner[r0:r1]
+        pos, d2 = np.repeat(shift[r0:r1], n) + np.arange(p0, p1), np.zeros(p1 - p0)
+        for tc, qc in zip(t_cols, q_cols):  # ((t - q) ** 2).sum(axis=1), in the same order
+            d = tc[pos] - np.repeat(qc[who], n)
+            d2 += np.square(d, out=d)
+        new = np.concatenate(([True], who[1:] != who[:-1]))  # a query's pairs are one run
+        best[who[new]] = np.minimum(best[who[new]], np.minimum.reduceat(d2, first[new]))
+
+
+def _sorted_cells(t_cols, lo, cell, span):
+    """Id steps of a grid of side cell >= span / 2**20 (ids < 2**61), and targets by id."""
+    side = math.floor(span / cell) + 3  # keys 1 .. side - 2, so neighbor ids stay in range
+    steps = np.array([side * side, side, 1], dtype=np.int64)
+    tid = steps @ (np.floor((t_cols - lo) / cell).astype(np.int64) + 1)
+    order = np.argsort(tid)
+    return steps, tid[order], t_cols[:, order]
+
+
+def _bounded_pass(best, q_cols, t_cols, todo, lo, cell, span):
+    """Lower best[todo] to exact minima, scanning the occupied cells whose tight box
+    lies within the query's best so far or its distance to a cell's first target."""
+    _, ids, t_cols = _sorted_cells(t_cols, lo, cell, span)
+    _, first, count = np.unique(ids, return_index=True, return_counts=True)
+    box_lo, box_hi = np.minimum.reduceat(t_cols, first, 1), np.maximum.reduceat(t_cols, first, 1)
+    rows = max(1, _PAIR_BUDGET // len(first))
+    for block in (todo[i:i + rows] for i in range(0, len(todo), rows)):
+        qc = [c[block, None] for c in q_cols]
+        d = [tc[first] - c for tc, c in zip(t_cols, qc)]
+        ub = np.minimum(best[block], (d[0] * d[0] + d[1] * d[1] + d[2] * d[2]).min(axis=1))
+        # rounding is monotone: no computed |t - q| in a box is below its gap
+        g = [np.maximum(np.maximum(a - c, c - b), 0.0) for a, b, c in zip(box_lo, box_hi, qc)]
+        row, col = np.nonzero(g[0] * g[0] + g[1] * g[1] + g[2] * g[2] <= ub[:, None])
+        _scan(best, q_cols, t_cols, block[row], first[col], count[col])
 
 
 @np.errstate(over="ignore")  # separations beyond the float range are inf
 def min_dists_to_set(queries, targets) -> np.ndarray:
-    """Exact Euclidean distance from each query point to its nearest point
-    in `targets`, equal bit for bit to the brute-force minimum.
-
-    Level-wise grid search: targets are sorted by cell id and each open
-    query scans its 27 neighboring cells. Targets outside them are farther
-    than the cell size, so a query whose best distance is within it is
-    final; the rest retry with the cell doubled. The first cell is at least
-    span / 2**20 (span: largest coordinate range of both sets), so cell ids
-    stay below 2**61; once the cell reaches the span, queries scan all.
-    """
-    q, t = (np.asarray(p, dtype=np.float64).reshape(-1, 3) for p in (queries, targets))
-    if not (np.isfinite(q).all() and np.isfinite(t).all()):
+    """Exact Euclidean distance from each query point to its nearest point in
+    `targets`, equal bit for bit to the brute-force minimum. Up to _PAIR_BUDGET
+    pairs, or on a degenerate span, all pairs are scanned. Otherwise a query scans
+    its 27 cells of side extent / sqrt(n_t) (at least span / 2**20), doubled up to
+    `far` = extent / n_t**0.25, until its best is within the cell. The rest take one
+    bounded pass over cells of side `far`, about sqrt(n_t) cells on a surface."""
+    q_cols, t_cols = (np.asarray(p, np.float64).reshape(-1, 3).T.copy() for p in (queries, targets))
+    if not (np.isfinite(q_cols).all() and np.isfinite(t_cols).all()):
         raise ValidationError("query and target points must be finite")
-    if len(t) == 0:
+    n_q, n_t = q_cols.shape[1], t_cols.shape[1]
+    if n_t == 0:
         raise ValidationError("nearest distances need a non-empty target set")
-    best = np.full(len(q), np.inf)
-    if len(q) == 0:
+    best = np.full(n_q, np.inf)
+    if n_q == 0:
         return best
-    lo = np.minimum(q.min(axis=0), t.min(axis=0))
-    span = float((np.maximum(q.max(axis=0), t.max(axis=0)) - lo).max())
-    extent = float((t.max(axis=0) - t.min(axis=0)).max())
-    cell = max(extent / math.sqrt(len(t)), span / 2.0 ** 20)
-    q_cols = q.T.copy()
-    todo = np.arange(len(q))
-    while len(todo) and 0 < cell < span:
-        side = math.floor(span / cell) + 3  # keys 1 .. side - 2, so neighbor ids stay in range
-        steps = np.array([side * side, side, 1], dtype=np.int64)
-        tid = (np.floor((t - lo) / cell).astype(np.int64) + 1) @ steps
-        order = np.argsort(tid)
-        ids, t_cols = tid[order], t[order].T.copy()
+    t_lo, t_hi = t_cols.min(1, keepdims=True), t_cols.max(1, keepdims=True)  # fast on (3, n)
+    lo, extent = np.minimum(q_cols.min(1, keepdims=True), t_lo), float((t_hi - t_lo).max())
+    span = float((np.maximum(q_cols.max(1, keepdims=True), t_hi) - lo).max())
+    cell = max(extent / math.sqrt(n_t), span / 2.0 ** 20)
+    if n_q * n_t <= _PAIR_BUDGET or not 0 < cell < span:
+        _scan(best, q_cols, t_cols, np.arange(n_q), np.zeros(n_q, np.int64), np.full(n_q, n_t))
+        return np.sqrt(best)
+    todo, far = np.arange(n_q), max(extent / n_t ** 0.25, cell)
+    while len(todo) and cell <= far:  # coarser levels would span most of a surface
+        steps, ids, sorted_cols = _sorted_cells(t_cols, lo, cell, span)
         for i in range(0, len(todo), _PAIR_BUDGET // len(_RUNS)):
             block = todo[i:i + _PAIR_BUDGET // len(_RUNS)]
-            qid = (np.floor((q[block] - lo) / cell).astype(np.int64) + 1) @ steps
+            qid = steps @ (np.floor((q_cols[:, block] - lo) / cell).astype(np.int64) + 1)
             runs = (qid[:, None] + _RUNS @ steps[:2]).ravel()
-            start = np.searchsorted(ids, runs - 1, "left")
-            count = np.searchsorted(ids, runs + 1, "right") - start
-            _scan(best, q_cols, t_cols, np.repeat(block, len(_RUNS)), start, count)
+            start, stop = np.searchsorted(ids, (runs - 1, runs + 2))  # integer ids
+            _scan(best, q_cols, sorted_cols, np.repeat(block, len(_RUNS)), start, stop - start)
         limit = cell * (1.0 - 2.0 ** -20)  # margin for rounding in keys and distances
-        todo = todo[~(best[todo] <= limit * limit)]
-        cell *= 2.0
+        todo, cell = todo[~(best[todo] <= limit * limit)], cell * 2.0
     if len(todo):
-        _scan(best, q_cols, t.T.copy(), todo, np.zeros_like(todo), np.full_like(todo, len(t)))
+        _bounded_pass(best, q_cols, t_cols, todo, lo, far, span)
     return np.sqrt(best)

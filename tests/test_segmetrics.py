@@ -93,6 +93,20 @@ class TestNearestRankPercentile:
         k = int(np.ceil(0.95 * len(v)))
         assert got == v[k - 1]
 
+    @given(st.lists(st.sampled_from([0.0, 1.0, 1.5, 2.0, np.inf]) | st.floats(0, 50), min_size=1,
+                    max_size=60), st.floats(0.0, 1.0))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_index_into_sorted_copy(self, values, q):
+        values = np.array(values)
+        before = values.copy()
+        k = max(1, int(np.ceil(q * len(values))))
+        assert nearest_rank_percentile(values, q) == np.sort(values)[k - 1]
+        assert np.array_equal(values, before)
+
+    def test_rank_beyond_sample_raises_index_error(self):
+        with pytest.raises(IndexError, match="index 3 is out of bounds"):
+            nearest_rank_percentile(np.array([1.0, 2.0, 3.0]), 1.2)
+
 
 class TestHd95:
     def test_identical(self):
@@ -178,6 +192,23 @@ class TestHd95:
             assert hd95(pred, gt, SYMMETRIC, use_spacing) == symmetric
             report = evaluate_segmentation(pred, gt, use_spacing=use_spacing)
             assert (report.hd95_directed, report.hd95_symmetric) == (directed, symmetric)
+
+    def test_report_reads_foreground_from_counts(self, monkeypatch):
+        """evaluate_segmentation takes the foreground counts from tp + fp and
+        tp + fn; HD95 is None exactly when one of them is 0."""
+        calls = []
+        real = Volume3D.foreground_count
+        monkeypatch.setattr(Volume3D, "foreground_count",
+                            lambda self: calls.append(1) or real(self))
+        m = np.zeros((6, 6, 6))
+        m[1:4, 1:4, 1:4] = 1
+        empty = np.zeros((6, 6, 6))
+        report = evaluate_segmentation(binary(m), binary(np.roll(m, 1, axis=0)))
+        assert report.hd95_directed == 1.0 and report.hd95_symmetric == 1.0
+        for pred, gt in ((m, empty), (empty, m), (empty, empty)):
+            report = evaluate_segmentation(binary(pred), binary(gt))
+            assert report.hd95_directed is None and report.hd95_symmetric is None
+        assert calls == []
 
     def test_nn_queries_per_call(self, monkeypatch):
         """Directed hd95 makes one nearest-neighbour query; symmetric hd95

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skeltop import ValidationError
+import nn_reference
+from skeltop import ValidationError, spatial
 from skeltop.spatial import min_dists_to_set
 
 from conftest import brute_min_dists
@@ -128,3 +129,132 @@ def test_nearest_rejects_non_finite_points(bad):
 def test_nearest_rejects_empty_targets():
     with pytest.raises(ValidationError):
         min_dists_to_set(np.zeros((2, 3)), np.empty((0, 3)))
+
+
+def _unit_rows(rng, n):
+    v = rng.normal(size=(n, 3))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def _cloud(kind, rng, n_q, n_t):
+    """(queries, targets) of one input family the search has to stay exact on."""
+    if kind == "clustered":
+        centers = rng.uniform(0, 100, size=(6, 3))
+        return [centers[rng.integers(0, 6, n)] + rng.normal(0, 2.0, size=(n, 3))
+                for n in (n_q, n_t)]
+    if kind == "speckled":  # a voxel tube surface plus 10% isolated speckles
+        def noisy(n):
+            a = rng.uniform(0, 2 * np.pi, n - n // 10)
+            tube = np.stack((rng.uniform(5, 55, len(a)), 30 + 3 * np.cos(a), 30 + 3 * np.sin(a)), 1)
+            return np.concatenate((tube.round(), rng.integers(0, 64, size=(n // 10, 3))))
+        return noisy(n_q), noisy(n_t)
+    if kind == "all-far":  # a shell of queries around a unit sphere of targets
+        return _unit_rows(rng, n_q) * rng.uniform(3, 30, size=(n_q, 1)), _unit_rows(rng, n_t)
+    if kind == "one-outlier":  # one target far out sets the extent and so the cells
+        targets = rng.uniform(0, 1, size=(n_t, 3))
+        targets[rng.integers(n_t)] = rng.uniform(20, 40, 3)
+        return rng.uniform(-0.2, 1.2, size=(n_q, 3)), targets
+    # dense-curve: random walks with short steps, as resampled traces
+    return [np.cumsum(rng.normal(0, 0.25, size=(n, 3)), axis=0) for n in (n_q, n_t)]
+
+
+# largest set sizes per family, kept where the level-doubling reference takes < 1 s
+_SIZES = {"clustered": 20_000, "speckled": 20_000, "all-far": 3_000, "one-outlier": 6_000,
+          "dense-curve": 6_000}
+
+
+@given(st.data())
+@settings(max_examples=25, deadline=None)
+def test_nearest_matches_level_doubling_reference(data):
+    kind = data.draw(st.sampled_from(sorted(_SIZES)))
+    n_q, n_t = (data.draw(st.integers(1, _SIZES[kind])) for _ in range(2))
+    queries, targets = _cloud(kind, np.random.default_rng(data.draw(st.integers(0, 2 ** 31 - 1))),
+                              n_q, n_t)
+    assert np.array_equal(min_dists_to_set(queries, targets),
+                          nn_reference.min_dists_to_set(queries, targets))
+
+
+def _spy(monkeypatch, name):
+    """Record the arguments of every call to spatial.<name>."""
+    calls, real = [], getattr(spatial, name)
+    monkeypatch.setattr(spatial, name, lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_all_pairs_up_to_the_pair_budget_then_the_grid(monkeypatch, extra):
+    pairs = spatial._PAIR_BUDGET + extra
+    n_t = max(d for d in range(1, int(pairs ** 0.5) + 1) if pairs % d == 0)
+    rng = np.random.default_rng(21)
+    queries = rng.uniform(0, 10, size=(pairs // n_t, 3))
+    targets = rng.uniform(0, 10, size=(n_t, 3))
+    grids = _spy(monkeypatch, "_sorted_cells")
+    assert np.array_equal(min_dists_to_set(queries, targets), brute_min_dists(queries, targets))
+    assert bool(grids) == bool(extra)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_bounded_pass_on_box_faces_and_one_ulp_off(monkeypatch, seed):
+    # lattice targets in a shell make every box face an integer; far integer
+    # queries put coordinates on those faces, and their neighbors 1 ulp off
+    rng = np.random.default_rng(seed)
+    grid = np.stack(np.meshgrid(*[np.arange(-11.0, 12.0)] * 3, indexing="ij"), -1).reshape(-1, 3)
+    targets = grid[np.abs(np.linalg.norm(grid, axis=1) - 10) < 0.5]
+    faces = rng.integers(-11, 12, size=(300, 3)).astype(float)
+    faces[np.arange(300), rng.integers(0, 3, 300)] = rng.choice([-1, 1], 300) * rng.integers(15, 30, 300)
+    queries = np.concatenate([faces, np.nextafter(faces, np.inf), np.nextafter(faces, -np.inf)])
+    passes = _spy(monkeypatch, "_bounded_pass")
+    assert np.array_equal(min_dists_to_set(queries, targets), brute_min_dists(queries, targets))
+    assert len(passes[0][3]) > 0.9 * len(queries)  # nearly every query takes the bounded pass
+
+
+@pytest.mark.parametrize("budget", [64, 1000])
+@pytest.mark.parametrize("kind", sorted(_SIZES))
+def test_more_unsettled_queries_than_one_row_chunk(monkeypatch, budget, kind):
+    # a small budget cuts the pair scans, the query blocks and the bounded
+    # pass into many chunks; more unsettled queries than the budget means
+    # more than one row chunk, whatever the number of cells
+    monkeypatch.setattr(spatial, "_PAIR_BUDGET", budget)
+    queries, targets = _cloud(kind, np.random.default_rng(budget), 3000, 1500)
+    passes = _spy(monkeypatch, "_bounded_pass")
+    assert np.array_equal(min_dists_to_set(queries, targets), brute_min_dists(queries, targets))
+    if kind == "all-far":
+        assert len(passes[0][3]) > budget
+
+
+def test_single_target_and_coincident_points():
+    rng = np.random.default_rng(22)
+    queries = rng.uniform(-5, 5, size=(spatial._PAIR_BUDGET + 7, 3))
+    target = [[0.25, -1.0, 3.0]]
+    assert np.array_equal(min_dists_to_set(queries, target), brute_min_dists(queries, target))
+    same = np.full((300, 3), 2.5)  # zero span
+    assert min_dists_to_set(same, same).max() == 0.0
+    # 40 distinct targets, each 100 times, and queries that repeat them
+    targets = np.repeat(rng.uniform(0, 20, size=(40, 3)), 100, axis=0)
+    queries = np.concatenate((targets[::7], rng.uniform(-5, 25, size=(2000, 3))))
+    assert np.array_equal(min_dists_to_set(queries, targets), brute_in_blocks(queries, targets))
+
+
+def test_squares_overflowing_to_inf():
+    # separations near 1e154 square to about the float maximum: some pairs are
+    # inf, some are not, and the box bounds overflow along with them
+    rng = np.random.default_rng(23)
+    targets = rng.uniform(-1e154, 1e154, size=(400, 3))
+    queries = np.concatenate((rng.uniform(-1e154, 1e154, size=(300, 3)),
+                              rng.uniform(3e154, 1e155, size=(5, 3))))
+    with np.errstate(over="ignore"):
+        want = brute_min_dists(queries, targets)
+    assert np.isinf(want).any() and np.isfinite(want).any()
+    assert np.array_equal(min_dists_to_set(queries, targets), want)
+
+
+def test_far_cloud_onto_sphere_finishes_fast():
+    # level doubling took 13-18 s here: far queries reached levels whose 27
+    # cells held most of the sphere
+    rng = np.random.default_rng(24)
+    targets = _unit_rows(rng, 20_000) * 10
+    queries = rng.uniform(-60, 60, size=(20_000, 3))
+    start = time.perf_counter()
+    got = min_dists_to_set(queries, targets)
+    assert time.perf_counter() - start < 5.0
+    assert np.array_equal(got[::50], brute_min_dists(queries[::50], targets))
