@@ -7,7 +7,7 @@ reported since much published tooling uses it; reports label both.
 """
 
 from dataclasses import dataclass
-from math import ceil
+from math import ceil, isfinite
 
 import numpy as np
 
@@ -29,11 +29,9 @@ def _check_binary_pair(pred: Volume3D, gt: Volume3D):
 def precision_recall_f1(pred: Volume3D, gt: Volume3D):
     """Fractions in [0, 1]; any 0/0 collapses to 0 by convention."""
     _check_binary_pair(pred, gt)
-    p = pred.bool_data()
-    g = gt.bool_data()
-    tp = int(np.count_nonzero(p & g))
-    fp = int(np.count_nonzero(p & ~g))
-    fn = int(np.count_nonzero(~p & g))
+    tp = int(np.count_nonzero(pred.data & gt.data))  # binary data is uint8 0 or 1
+    fp = int(np.count_nonzero(pred.data)) - tp
+    fn = int(np.count_nonzero(gt.data)) - tp
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
@@ -41,7 +39,9 @@ def precision_recall_f1(pred: Volume3D, gt: Volume3D):
 
 
 def nearest_rank_percentile(values: np.ndarray, q: float) -> float:
-    """ceil(q * n)-th smallest element of the sample."""
+    """ceil(q * n)-th smallest element of the sample; q must be finite and >= 0."""
+    if not (isfinite(q) and q >= 0):
+        raise ValidationError(f"percentile q must be finite and >= 0, got {q!r}")
     values = np.asarray(values, dtype=np.float64).ravel()
     if len(values) == 0:
         raise UndefinedMetricError("percentile of an empty sample is undefined")
@@ -50,10 +50,10 @@ def nearest_rank_percentile(values: np.ndarray, q: float) -> float:
 
 
 def _surface_points(vol: Volume3D, use_spacing: bool) -> np.ndarray:
-    pts = surface_voxel_array(vol).astype(np.float64)
-    if use_spacing:
-        pts = pts * np.asarray(vol.spacing, dtype=np.float64)
-    return pts
+    """Integer voxel coordinates, which take the exact lattice stage of the NN
+    search, or float64 coordinates scaled by the volume's spacing."""
+    pts = surface_voxel_array(vol)
+    return pts * np.asarray(vol.spacing, dtype=np.float64) if use_spacing else pts
 
 
 def _hd95_values(pred: Volume3D, gt: Volume3D, use_spacing: bool, symmetric: bool):

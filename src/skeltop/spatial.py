@@ -1,8 +1,11 @@
 """Exact grid nearest-neighbor queries in numpy alone, for the surface and trace
 metrics and the skeleton node terms. Each distance equals the brute-force minimum
 bit for bit: a pair is skipped only when rounded arithmetic shows it no nearer.
+Integer inputs, such as voxel surfaces, first settle every query that has a target
+in its 3x3x3 lattice neighbourhood by exact integer lookups; only the rest search.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -12,6 +15,8 @@ from .errors import ValidationError
 # (dz, dy) of the nine runs of three x-adjacent cells tiling a 27-neighborhood
 _RUNS = np.array([(dz, dy) for dz in (-1, 0, 1) for dy in (-1, 0, 1)], dtype=np.int64)
 _PAIR_BUDGET = 1 << 14  # elements per chunk of pairs or bounds; keeps temporaries in cache
+_CUBE = np.array(list(itertools.product((-1, 0, 1), repeat=3)), dtype=np.int64)
+_SHELLS = [_CUBE[(_CUBE * _CUBE).sum(1) == d2] for d2 in range(4)]  # offsets by squared length
 
 
 def _scan(best, q_cols, t_cols, owner, start, count):
@@ -59,6 +64,34 @@ def _bounded_pass(best, q_cols, t_cols, todo, lo, cell, span):
         _scan(best, q_cols, t_cols, block[row], first[col], count[col])
 
 
+def _lattice(best, q_cols, t_cols, lo, hi):
+    """Set best[i] to the exact squared distance of each query with a target in
+    its 3x3x3 neighbourhood and return the other query indices (all of them when
+    the ids of the padded box would not fit in int64). Coordinates are integers
+    in [lo, hi] per axis, each below 2**53 in magnitude."""
+    base = np.array([int(v) - 1 for v in lo.ravel()], dtype=np.int64)[:, None]
+    side = [int(h) - int(v) + 2 for h, v in zip(hi.ravel(), base.ravel())]  # Python ints
+    todo = np.arange(q_cols.shape[1])
+    if math.prod(side) >= 2 ** 63:
+        return todo
+    steps = np.array([side[1] * side[2], side[2], 1], dtype=np.int64)
+    qid = steps @ (q_cols.astype(np.int64) - base)
+    tid = np.sort(steps @ (t_cols.astype(np.int64) - base))
+    for d2, shell in enumerate(_SHELLS):  # a target outside the cube is at d2 >= 4
+        probes = qid[todo, None] + shell @ steps
+        hit = (tid.take(np.searchsorted(tid, probes), mode="clip") == probes).any(1)
+        best[todo[hit]], todo = d2, todo[~hit]
+    return todo
+
+
+def _points(p, what):
+    """p as an (n, 3) array, or ValidationError."""
+    a = np.asarray(p)
+    if a.ndim != 2 or a.shape[1] != 3:
+        raise ValidationError(f"{what} points must be an (n, 3) array, got shape {a.shape}")
+    return a
+
+
 @np.errstate(over="ignore")  # separations beyond the float range are inf
 def min_dists_to_set(queries, targets) -> np.ndarray:
     """Exact Euclidean distance from each query point to its nearest point in
@@ -66,8 +99,18 @@ def min_dists_to_set(queries, targets) -> np.ndarray:
     pairs, or on a degenerate span, all pairs are scanned. Otherwise a query scans
     its 27 cells of side extent / sqrt(n_t) (at least span / 2**20), doubled up to
     `far` = extent / n_t**0.25, until its best is within the cell. The rest take one
-    bounded pass over cells of side `far`, about sqrt(n_t) cells on a surface."""
-    q_cols, t_cols = (np.asarray(p, np.float64).reshape(-1, 3).T.copy() for p in (queries, targets))
+    bounded pass over cells of side `far`, about sqrt(n_t) cells on a surface.
+
+    When both inputs have an integer dtype and every coordinate is below 2**53 in
+    magnitude (so float64 holds it exactly), a lattice stage runs before the grid:
+    each query probes its 3x3x3 neighbourhood among the sorted target ids, in shells
+    of squared distance 0, 1, 2 and 3, and settles at its first hit. Any target
+    outside the cube is at squared distance 4 or more, so that hit is the exact
+    minimum, and its square root is what brute force computes. Only the queries
+    with no target in their cube search the grid. A padded bounding box of more
+    than 2**63 - 1 voxels skips the stage. Inputs must be (n, 3) arrays."""
+    queries, targets = _points(queries, "query"), _points(targets, "target")
+    q_cols, t_cols = (p.astype(np.float64).T.copy() for p in (queries, targets))
     if not (np.isfinite(q_cols).all() and np.isfinite(t_cols).all()):
         raise ValidationError("query and target points must be finite")
     n_q, n_t = q_cols.shape[1], t_cols.shape[1]
@@ -78,12 +121,16 @@ def min_dists_to_set(queries, targets) -> np.ndarray:
         return best
     t_lo, t_hi = t_cols.min(1, keepdims=True), t_cols.max(1, keepdims=True)  # fast on (3, n)
     lo, extent = np.minimum(q_cols.min(1, keepdims=True), t_lo), float((t_hi - t_lo).max())
-    span = float((np.maximum(q_cols.max(1, keepdims=True), t_hi) - lo).max())
+    hi = np.maximum(q_cols.max(1, keepdims=True), t_hi)
+    span = float((hi - lo).max())
     cell = max(extent / math.sqrt(n_t), span / 2.0 ** 20)
     if n_q * n_t <= _PAIR_BUDGET or not 0 < cell < span:
         _scan(best, q_cols, t_cols, np.arange(n_q), np.zeros(n_q, np.int64), np.full(n_q, n_t))
         return np.sqrt(best)
     todo, far = np.arange(n_q), max(extent / n_t ** 0.25, cell)
+    if (np.issubdtype(queries.dtype, np.integer) and np.issubdtype(targets.dtype, np.integer)
+            and -2.0 ** 53 < lo.min() and hi.max() < 2.0 ** 53):  # exact in float64
+        todo = _lattice(best, q_cols, t_cols, lo, hi)
     while len(todo) and cell <= far:  # coarser levels would span most of a surface
         steps, ids, sorted_cols = _sorted_cells(t_cols, lo, cell, span)
         for i in range(0, len(todo), _PAIR_BUDGET // len(_RUNS)):

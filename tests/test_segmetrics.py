@@ -76,6 +76,15 @@ class TestPrecisionRecallF1:
         assert f_base == pytest.approx(f_shift, abs=1e-12)
 
 
+    @given(st.integers(0, 2 ** 31 - 1), st.floats(0.0, 1.0))
+    @settings(max_examples=25, deadline=None)
+    def test_counts_match_masked_passes(self, seed, density):
+        rng = np.random.default_rng(seed)
+        p, g = (rng.random((7, 5, 6)) < density for _ in range(2))
+        want = tuple(int(np.count_nonzero(m)) for m in (p & g, p & ~g, ~p & g))
+        assert precision_recall_f1(binary(p), binary(g))[3] == want
+
+
 class TestNearestRankPercentile:
     def test_spec_example(self):
         values = np.array([0.0] * 94 + [10.0] * 6)
@@ -106,6 +115,12 @@ class TestNearestRankPercentile:
     def test_rank_beyond_sample_raises_index_error(self):
         with pytest.raises(IndexError, match="index 3 is out of bounds"):
             nearest_rank_percentile(np.array([1.0, 2.0, 3.0]), 1.2)
+
+
+    @pytest.mark.parametrize("q", [-1.0, -1e-300, np.nan, np.inf, -np.inf])
+    def test_rejects_negative_or_non_finite_q(self, q):
+        with pytest.raises(ValidationError, match="finite and >= 0"):
+            nearest_rank_percentile(np.array([1.0, 2.0, 3.0]), q)
 
 
 class TestHd95:
@@ -209,6 +224,24 @@ class TestHd95:
             report = evaluate_segmentation(binary(pred), binary(gt))
             assert report.hd95_directed is None and report.hd95_symmetric is None
         assert calls == []
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_unit_spacing_equals_voxel_units(self, monkeypatch, seed):
+        """use_spacing with spacing (1, 1, 1) searches float coordinates and
+        use_spacing=False integer ones; both give the same HD95 bit for bit."""
+        rng = np.random.default_rng(seed)
+        gt = np.zeros((24, 22, 26), dtype=bool)
+        gt[5:18, 4:17, 6:21] = True
+        pred = (np.roll(gt, seed, axis=2) & (rng.random(gt.shape) > 0.05)) \
+            | (rng.random(gt.shape) < 0.01)
+        p, g = binary(pred), binary(gt)
+        lattice = []
+        real = spatial._lattice
+        monkeypatch.setattr(spatial, "_lattice", lambda *a: lattice.append(1) or real(*a))
+        for mode in (DIRECTED, SYMMETRIC):
+            lattice.clear()
+            assert hd95(p, g, mode, use_spacing=True) == hd95(p, g, mode, use_spacing=False)
+            assert len(lattice) == (1 if mode == DIRECTED else 2)  # voxel units only
 
     def test_nn_queries_per_call(self, monkeypatch):
         """Directed hd95 makes one nearest-neighbour query; symmetric hd95

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nn_reference
-from skeltop import ValidationError, spatial
+from skeltop import BINARY, ValidationError, Volume3D, spatial
 from skeltop.spatial import min_dists_to_set
+from skeltop.volume import surface_voxel_array
 
 from conftest import brute_min_dists
 
@@ -258,3 +259,139 @@ def test_far_cloud_onto_sphere_finishes_fast():
     got = min_dists_to_set(queries, targets)
     assert time.perf_counter() - start < 5.0
     assert np.array_equal(got[::50], brute_min_dists(queries[::50], targets))
+
+
+@pytest.mark.parametrize("shape", [(1, 6), (2, 2), (6,), (2, 3, 1), ()])
+def test_rejects_points_not_shaped_n_by_3(shape):
+    bad, good = np.zeros(shape), np.zeros((2, 3))
+    for q, t in ((bad, good), (good, bad)):
+        with pytest.raises(ValidationError, match=r"\(n, 3\) array"):
+            min_dists_to_set(q, t)
+
+
+def test_empty_targets_keep_their_message():
+    with pytest.raises(ValidationError, match="non-empty target set"):
+        min_dists_to_set(np.zeros((2, 3), np.int64), np.empty((0, 3), np.int64))
+
+
+def _spy_results(monkeypatch, name):
+    """Record the result of every call to spatial.<name>."""
+    results, real = [], getattr(spatial, name)
+    monkeypatch.setattr(spatial, name, lambda *a: results.append(real(*a)) or results[-1])
+    return results
+
+
+def _voxel_surfaces(rng, n):
+    """Surfaces of two speckled blobs in an n^3 volume, plus far outliers."""
+    zz, yy, xx = np.ogrid[:n, :n, :n]
+    c, r = rng.uniform(n / 3, 2 * n / 3, 3), rng.uniform(n / 6, n / 3)
+    ball = (zz - c[0]) ** 2 + (yy - c[1]) ** 2 + (xx - c[2]) ** 2 <= r * r
+    out = []
+    for _ in range(2):
+        mask = (ball & (rng.random(ball.shape) > 0.05)) | (rng.random(ball.shape) < 0.01)
+        outliers = rng.integers(-3 * n, 4 * n, size=(rng.integers(0, 5), 3))
+        out.append(np.concatenate((surface_voxel_array(Volume3D(mask.astype("u1"), BINARY)),
+                                   outliers)))
+    return out
+
+
+_SHELL_OFFSETS = np.array([(0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1), (2, 0, 0), (2, 1, 0),
+                           (0, 0, 1), (1, 0, 1), (0, 2, 0)])
+
+
+def _lattice_cloud(kind, rng, n_q, n_t):
+    """Integer (queries, targets) of one family, with negative coordinates."""
+    if kind == "uniform":  # a small box: many coincident points
+        return [rng.integers(-6, 6, size=(n, 3)) for n in (n_q, n_t)]
+    if kind == "coincident":  # repeated targets; queries repeat some of them
+        targets = np.repeat(rng.integers(-40, 40, size=(max(1, n_t // 8), 3)), 8, axis=0)
+        return np.concatenate((targets[:n_q // 2], rng.integers(-45, 45, size=(n_q - n_q // 2, 3)))), targets
+    if kind == "shells":  # targets 4 apart; queries at d2 = 0, 1, 2, 3 exactly, or 4, 5
+        targets = rng.integers(-20, 20, size=(n_t, 3)) * 4
+        offsets = _SHELL_OFFSETS[rng.integers(0, len(_SHELL_OFFSETS), n_q)]
+        return targets[rng.integers(0, n_t, n_q)] + offsets * rng.choice([-1, 1], (n_q, 3)), targets
+    if kind == "surfaces":
+        return _voxel_surfaces(rng, int(rng.integers(14, 30)))
+    # wide: about 10**7 on every axis, so the padded box holds ~10**21 ids
+    return [rng.integers(-5 * 10 ** 6, 5 * 10 ** 6, size=(n, 3)) for n in (n_q, n_t)]
+
+
+# integer dtypes per family; int16 and uint16 cannot hold the wide family
+_LATTICE_DTYPES = {**dict.fromkeys(("uniform", "coincident", "shells", "surfaces"),
+                                   ("int16", "int32", "int64", "uint16")),
+                   "wide": ("int32", "int64")}
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_lattice_stage_matches_brute_force_and_reference(data):
+    kind = data.draw(st.sampled_from(sorted(_LATTICE_DTYPES)))
+    dtype = data.draw(st.sampled_from(_LATTICE_DTYPES[kind]))
+    n_q, n_t = (data.draw(st.integers(130, 1200)) for _ in range(2))  # past the pair budget
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 31 - 1)))
+    queries, targets = _lattice_cloud(kind, rng, n_q, n_t)
+    if dtype == "uint16":  # shift the common box to start at 0
+        low = min(queries.min(), targets.min())
+        queries, targets = queries - low, targets - low
+    queries, targets = queries.astype(dtype), targets.astype(dtype)
+    got = min_dists_to_set(queries, targets)
+    assert np.array_equal(got, brute_in_blocks(queries, targets))
+    assert np.array_equal(got, nn_reference.min_dists_to_set(queries, targets))
+
+
+def test_lattice_stage_settles_surface_queries_in_the_cube(monkeypatch):
+    # only queries with no target within d2 = 3 reach the grid search
+    queries, targets = _voxel_surfaces(np.random.default_rng(31), 40)
+    left = _spy_results(monkeypatch, "_lattice")
+    got = min_dists_to_set(queries, targets)
+    assert np.array_equal(got, brute_in_blocks(queries, targets))
+    assert 0 < len(left[0]) < len(queries) // 2
+    assert np.array_equal(np.flatnonzero(got >= 2.0), left[0])
+
+
+def test_shell_d2_3_settles_and_d2_4_falls_back(monkeypatch):
+    targets = np.stack(np.meshgrid(*[np.arange(0, 60, 4)] * 3, indexing="ij"), -1).reshape(-1, 3)
+    queries = np.concatenate((targets + (1, 1, 1), targets + (2, 0, 0), targets - (1, 1, 1)))
+    left = _spy_results(monkeypatch, "_lattice")
+    got = min_dists_to_set(queries, targets)
+    assert np.array_equal(got, brute_in_blocks(queries, targets))
+    assert np.array_equal(np.unique(got), [np.sqrt(3.0), 2.0])
+    assert np.array_equal(left[0], np.arange(len(targets), 2 * len(targets)))
+
+
+def test_wide_box_falls_back_without_overflow(monkeypatch):
+    rng = np.random.default_rng(32)
+    queries, targets = (rng.integers(-5 * 10 ** 6, 5 * 10 ** 6, size=(n, 3)) for n in (400, 300))
+    targets[:150] = queries[:150] + rng.integers(-1, 2, size=(150, 3))  # lattice neighbours
+    left = _spy_results(monkeypatch, "_lattice")
+    assert np.array_equal(min_dists_to_set(queries, targets), brute_min_dists(queries, targets))
+    assert np.array_equal(left[0], np.arange(len(queries)))  # none settled
+
+
+def test_coordinates_beyond_float_precision_skip_the_lattice(monkeypatch):
+    # 2**60 + 1 rounds to 2**60 in float64, where brute force reads distance 0;
+    # exact integer arithmetic would say 1, so such inputs take the float path
+    rng = np.random.default_rng(33)
+    targets = rng.integers(0, 40, size=(200, 3)) + 2 ** 60
+    queries = np.concatenate((targets + (1, 0, 0), rng.integers(0, 40, size=(100, 3)) + 2 ** 60))
+    left = _spy_results(monkeypatch, "_lattice")
+    got = min_dists_to_set(queries, targets)
+    assert np.array_equal(got, brute_min_dists(queries, targets))
+    assert got[0] == 0.0 and left == []
+    edge = rng.integers(0, 40, size=(200, 3)) + (2 ** 53 - 40, 0, 0)  # up to 2**53, exact
+    edge[0, 0] = 2 ** 53
+    q_edge = np.concatenate((edge[1:], [edge[0] + (1, 0, 0)]))  # 2**53 + 1 reads as 2**53
+    assert min_dists_to_set(q_edge, edge)[-1] == 0.0 and left == []
+    uint = targets.astype(np.uint64) + np.uint64(2 ** 63)  # wraps if cast to int64
+    assert np.array_equal(min_dists_to_set(uint, uint[::-1]), np.zeros(len(uint)))
+    assert left == []
+
+
+def test_integer_and_float_inputs_mixed_take_the_float_path(monkeypatch):
+    rng = np.random.default_rng(34)
+    ints = rng.integers(-10, 10, size=(400, 3))
+    floats = ints[::-2] + rng.uniform(-0.6, 0.6, size=(200, 3))
+    left = _spy_results(monkeypatch, "_lattice")
+    for q, t in ((ints, floats), (floats, ints)):
+        assert np.array_equal(min_dists_to_set(q, t), brute_min_dists(q, t))
+    assert left == []
