@@ -20,11 +20,15 @@ def dice_loss(p: Volume3D, g: Volume3D, epsilon: float = DICE_EPSILON) -> float:
     """1 - 2*sum(p*g) / (sum(p^2) + sum(g^2) + epsilon)."""
     check_same_dims(p, g)
     check_positive_finite("epsilon", epsilon)
-    pv = p.data.ravel().astype(np.float64)
-    gv = g.data.ravel().astype(np.float64)
-    num = 2.0 * float(np.sum(pv * gv))
-    den = float(np.sum(pv * pv)) + float(np.sum(gv * gv)) + epsilon
-    return 1.0 - num / den
+    pv = p.data.ravel()
+    if g.kind == BINARY:  # no float copy of g; sum(g^2) over 0.0/1.0 is exactly its count
+        prod = np.multiply(pv, g.data.ravel(), dtype=np.float64)
+        pg, gg = float(np.sum(prod)), float(np.count_nonzero(g.data))
+        pp = float(np.sum(np.multiply(pv, pv, out=prod, dtype=np.float64)))
+    else:
+        pv, gv = pv.astype(np.float64), g.data.ravel().astype(np.float64)
+        pg, pp, gg = (float(np.sum(a * b)) for a, b in ((pv, gv), (pv, pv), (gv, gv)))
+    return 1.0 - 2.0 * pg / (pp + gg + epsilon)
 
 
 def ce_loss(p: Volume3D, g: Volume3D, clamp: float = CE_CLAMP) -> float:

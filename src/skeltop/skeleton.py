@@ -113,7 +113,11 @@ def graph_from_skeleton(skel: Volume3D, r: float = DEFAULT_RADIUS) -> SkeletonGr
     large r is.
     """
     check_positive_finite("adjacency radius", r)
-    nodes = _skeleton_nodes(skel)
+    return _graph_from_nodes(_skeleton_nodes(skel), r)
+
+
+def _graph_from_nodes(nodes: np.ndarray, r: float) -> SkeletonGraph:
+    """``graph_from_skeleton`` on skeleton voxels listed in ``argwhere`` order."""
     if len(nodes) == 0:
         return SkeletonGraph(nodes, np.empty((0, 2), dtype=np.int64), r)
     ez, ey, ex = (nodes.max(axis=0) - nodes.min(axis=0)).tolist()

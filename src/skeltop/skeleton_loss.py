@@ -1,8 +1,9 @@
 """Topology loss on skeleton graphs (node / edge / path discrepancies).
 
-The pipeline binarizes a prediction, thins both volumes to skeletons in
-one stacked thinning pass, converts them to proximity graphs, and scores
-three structural terms:
+The pipeline binarizes a prediction, thins it and the ground truth in
+one stacked thinning pass that yields each side's skeleton voxel list
+(no skeleton volume is built), turns the lists into proximity graphs,
+and scores three structural terms:
 
 * node: symmetric mean nearest-neighbor distance between node sets,
 * edge: relative difference of edge counts,
@@ -19,8 +20,8 @@ import numpy as np
 
 from . import spatial, thinning
 from .errors import EmptyGraphError, ValidationError, check_positive_finite
-from .skeleton import DEFAULT_RADIUS, SkeletonGraph, graph_from_skeleton, mean_component_size
-from .volume import BINARY, PROBABILITY, Volume3D, check_same_dims, threshold
+from .skeleton import DEFAULT_RADIUS, SkeletonGraph, _graph_from_nodes, mean_component_size
+from .volume import BINARY, PROBABILITY, Volume3D, check_same_dims
 
 DEFAULT_EPSILON = 1e-8
 
@@ -107,11 +108,11 @@ def skeleton_loss(pred: Volume3D, gt: Volume3D,
     check_same_dims(pred, gt)
     if gt.kind != BINARY:
         raise ValidationError(f"ground truth must be binary, got kind '{gt.kind}'")
-    pred_bin = threshold(pred, w.tau) if pred.kind == PROBABILITY else pred
-    # one stacked thinning pass: the skeletons skeletonize gives each side
-    skel_pred, skel_gt = thinning.thin(np.stack((pred_bin.data, gt.data)))
-    g_pred = graph_from_skeleton(Volume3D(skel_pred, BINARY, pred_bin.spacing), w.r)
-    g_gt = graph_from_skeleton(Volume3D(skel_gt, BINARY, gt.spacing), w.r)
+    # binary data is 0/1 bytes, so its bool view is the mask itself
+    pred_mask = pred.data > w.tau if pred.kind == PROBABILITY else pred.data.view(bool)
+    # one stacked thinning pass: the skeleton voxels skeletonize gives each side
+    g_pred, g_gt = (_graph_from_nodes(nodes, w.r)
+                    for nodes in thinning._skeleton_nodes((pred_mask, gt.data.view(bool))))
     if g_gt.is_empty():
         return SkeletonLossBreakdown(0.0, 0.0, 0.0, 0.0, degenerate=True)
     if g_pred.is_empty():

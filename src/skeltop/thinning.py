@@ -14,7 +14,8 @@ cell in (dz, dy, dx) lexicographic order). A component is grown from its
 lowest set bit by OR-ing per-byte adjacency tables until it stops
 changing, so the simple-point test is a handful of table lookups per
 voxel. The image is visited through its ascending list of foreground flat
-indices, which is exactly ``argwhere`` order.
+indices, which is exactly ``argwhere`` order; the list left at the fixpoint
+gives the skeleton's voxel coordinates without a skeleton volume.
 
 Within a sub-iteration, simplicity is evaluated in bulk against the
 current image. Candidates are then resolved as if scanned in that order,
@@ -94,24 +95,15 @@ def _first_independent(idx, earlier):
     return idx[np.array(keep, dtype=bool)]
 
 
-def thin(mask: np.ndarray) -> np.ndarray:
-    """Thin a boolean 3D array to its medial-axis skeleton; a 4D array is a
-    stack of same-shape 3D masks on its leading axis, each thinned alone.
-
-    The stack's volumes share one zero-padded image, one background z-plane
-    apart, and one fixpoint loop. That is exact: no 3x3x3 neighborhood and
-    no pair of 26-adjacent candidates spans two volumes, ascending flat
-    index within a volume is still its ``argwhere`` order, and a volume
-    that has converged does not change in later rounds.
-    """
-    masks = np.asarray(mask, dtype=bool)
-    stack = masks if masks.ndim == 4 else masks[None]
-    k, d, h, w = stack.shape
-    img = np.zeros((k * (d + 1) + 1, h + 2, w + 2), dtype=bool)
-    vols = img[1:].reshape(k, d + 1, h + 2, w + 2)[:, :d, 1:-1, 1:-1]
-    vols[...] = stack
-    flat = img.reshape(-1)
-    sz, sy = (h + 2) * (w + 2), w + 2
+def _thin_stack(masks, shape):
+    """Thin `shape`d 3D masks as one zero-padded flat image, placed along z
+    one background plane apart: the ascending flat ids of the skeleton
+    voxels, the z/y strides, and each mask's view of the image."""
+    (d, h, w), sz, sy = shape, (shape[1] + 2) * (shape[2] + 2), shape[2] + 2
+    flat = np.zeros((len(masks) * (d + 1) + 1) * sz, dtype=bool)
+    vols = flat[sz:].reshape(len(masks), d + 1, h + 2, w + 2)[:, :d, 1:-1, 1:-1]
+    for vol, mask in zip(vols, masks):
+        vol[...] = mask
     offs = _OFFSETS @ np.array([sz, sy, 1])
     fg = np.flatnonzero(flat)
     changed = True
@@ -130,5 +122,32 @@ def thin(mask: np.ndarray) -> np.ndarray:
             flat[_first_independent(idx, offs[:_CENTER])] = False
             fg = fg[flat[fg]]
             changed = True
-    skel = vols.copy()
+    return fg, sz, sy, vols
+
+
+def thin(mask: np.ndarray) -> np.ndarray:
+    """Thin a boolean 3D array to its medial-axis skeleton; a 4D array is a
+    stack of same-shape 3D masks on its leading axis, each thinned alone.
+
+    The stack's volumes share one zero-padded image, one background z-plane
+    apart, and one fixpoint loop. That is exact: no 3x3x3 neighborhood and
+    no pair of 26-adjacent candidates spans two volumes, ascending flat
+    index within a volume is still its ``argwhere`` order, and a volume
+    that has converged does not change in later rounds.
+    """
+    masks = np.asarray(mask, dtype=bool)
+    stack = masks if masks.ndim == 4 else masks[None]
+    skel = _thin_stack(stack, stack.shape[1:])[3].copy()
     return skel if masks.ndim == 4 else skel[0]
+
+
+def _skeleton_nodes(masks):
+    """Per same-shape 3D bool mask, thinned as one stack like ``thin``, its
+    skeleton voxels as (n, 3) int64 rows in ``argwhere`` order, read off
+    the surviving flat ids with no skeleton volume built."""
+    d = masks[0].shape[0]
+    fg, sz, sy, _ = _thin_stack(masks, masks[0].shape)
+    z, rest = np.divmod(fg, sz)
+    y, x = np.divmod(rest, sy)
+    nodes = np.stack(((z - 1) % (d + 1), y - 1, x - 1), axis=1)
+    return np.split(nodes, np.searchsorted(fg, (np.arange(1, len(masks)) * (d + 1) + 1) * sz))

@@ -215,3 +215,63 @@ class TestDefaults:
             DeepSupervisionConfig(scale_weights=(0.0, 0.0))
         with pytest.raises(ValidationError):
             DeepSupervisionConfig(scale_weights=(1.0,), beta=-1.0)
+
+
+def float64_dice(p, g, epsilon=1e-8):
+    """The squared-denominator formula on float64 copies of both volumes."""
+    pv = p.data.ravel().astype(np.float64)
+    gv = g.data.ravel().astype(np.float64)
+    num = 2.0 * float(np.sum(pv * gv))
+    den = float(np.sum(pv * pv)) + float(np.sum(gv * gv)) + epsilon
+    return 1.0 - num / den
+
+
+class TestDiceBinaryForm:
+    """A binary g enters as its uint8 data and sum(g^2) as its count; the
+    result must equal the float64 formula bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(dims=st.tuples(*[st.integers(1, 40)] * 3), seed=st.integers(0, 2 ** 32 - 1),
+           density=st.sampled_from([0.0, 0.01, 0.3, 0.5, 0.9, 1.0]),
+           eps=st.sampled_from([1e-8, 1e-3, 1.0, 1e6]))
+    def test_random_volumes(self, dims, seed, density, eps):
+        rng = np.random.default_rng(seed)
+        pv = rng.random(dims).astype("<f4")
+        edges = edge_probabilities()
+        at = rng.random(dims) < 0.2  # about a fifth of voxels take 0, 1 or an edge value
+        pv[at] = rng.choice(edges, int(at.sum()))
+        g = binary(rng.random(dims) < density)
+        assert dice_loss(prob(pv), g, eps) == float64_dice(prob(pv), g, eps)
+
+    def test_million_voxels(self):
+        rng = np.random.default_rng(41)
+        p = prob(rng.random((100, 100, 100)).astype("<f4"))
+        for density in (0.002, 0.5):
+            g = binary(rng.random((100, 100, 100)) < density)
+            assert dice_loss(p, g) == float64_dice(p, g)
+
+    @pytest.mark.parametrize("fill", [0.0, 1e-30, 0.5, 1.0])
+    def test_all_zero_target(self, fill):
+        # sum(p*g) and sum(g^2) are 0: epsilon dominates when p is tiny or 0
+        p = prob(np.full((3, 4, 5), fill))
+        g = binary(np.zeros((3, 4, 5)))
+        for eps in (1e-8, 1.0):
+            assert dice_loss(p, g, eps) == float64_dice(p, g, eps)
+
+    def test_binary_prediction(self):
+        rng = np.random.default_rng(43)
+        a, b = (binary(rng.random((9, 8, 7)) < 0.5) for _ in range(2))
+        assert dice_loss(a, b) == float64_dice(a, b)
+        assert dice_loss(a, a) == float64_dice(a, a)
+
+    def test_probability_target_takes_the_general_path(self):
+        rng = np.random.default_rng(47)
+        p = prob(rng.random((6, 7, 8)).astype("<f4"))
+        soft = prob(rng.random((6, 7, 8)).astype("<f4"))
+        # sum(g^2) of a soft target is not its count, so only the general
+        # path can give the formula's value
+        assert np.count_nonzero(soft.data) != float(np.sum(soft.data.astype(np.float64) ** 2))
+        assert dice_loss(p, soft) == float64_dice(p, soft)
+        hard = binary(rng.random((6, 7, 8)) < 0.4)
+        assert dice_loss(p, hard.as_probability()) == float64_dice(p, hard.as_probability())
+        assert dice_loss(p, hard.as_probability()) == dice_loss(p, hard)

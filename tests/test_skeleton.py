@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from skeltop import (BINARY, SkeletonGraph, ValidationError, Volume3D,
                      connected_components, graph_from_skeleton,
                      graph_from_skeleton_bruteforce, skeletonize)
+from skeltop.skeleton import _graph_from_nodes
 
 from conftest import count_components_26, has_2x2x2_block
 
@@ -206,6 +207,18 @@ class TestGraphFromSkeleton:
             m[v] = 1
         g = assert_same_graph(binary_volume(m), r)
         assert g.n_nodes == len(voxels)
+
+    @given(dims=st.tuples(*[st.integers(1, 12)] * 3), seed=st.integers(0, 2 ** 31 - 1),
+           n=st.integers(0, 300), r=st.floats(0.5, 4.0))
+    @settings(max_examples=30, deadline=None)
+    def test_graph_from_nodes_equals_bruteforce(self, dims, seed, n, r):
+        # the node-list entry point TASL uses, on the nodes the volume gives
+        vol = random_voxel_volume(seed, n, dims)
+        slow = graph_from_skeleton_bruteforce(vol, r)
+        fast = _graph_from_nodes(np.argwhere(vol.data).astype(np.int64), r)
+        assert np.array_equal(fast.nodes, slow.nodes)
+        assert np.array_equal(fast.edges, slow.edges)
+        assert fast.radius_r == slow.radius_r
 
     def test_invalid_radius(self):
         with pytest.raises(ValidationError):

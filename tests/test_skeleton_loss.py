@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tasl_reference
 from skeltop import (BINARY, PROBABILITY, EmptyGraphError, SkeletonGraph,
                      SkeletonLossWeights, ValidationError, Volume3D,
                      edge_discrepancy, graph_from_skeleton, node_discrepancy,
@@ -296,3 +297,79 @@ class TestFragmentation:
                  + w.lambda_edge * edge_discrepancy(pred, gt, EPS)
                  + w.lambda_path * lp)
         assert total > 0
+
+
+def block_max(a, f):
+    d, h, w = a.shape
+    return a.reshape(d // f, f, h // f, f, w // f, f).max(axis=(1, 3, 5))
+
+
+class TestMatchesVolumeReference:
+    """skeleton_loss from node lists equals the frozen volume pipeline
+    (threshold, skeleton volumes, graph_from_skeleton) exactly."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded_synth_pyramids(self, seed):
+        dims = ((32, 32, 32), (24, 40, 28))[seed % 2]
+        spec = SynthSpec(seed=seed, dims=dims, n_branch_points=2, segment_length=(4.0, 8.0),
+                         tube_radius=1.6, noise_sigma=0.15, blur_sigma=0.8)
+        mask, prob = rasterize(generate_tree(spec), spec)
+        w = SkeletonLossWeights(tau=(0.5, 0.4)[seed % 2], r=(2.0, 3.0)[seed % 2])
+        for f in (1, 2, 4):
+            p = Volume3D(block_max(prob.data, f), PROBABILITY)
+            g = Volume3D(block_max(mask.data, f), BINARY)
+            for pred in (p, g):
+                assert skeleton_loss(pred, g, w) == tasl_reference.skeleton_loss(pred, g, w), f
+
+    def test_binary_prediction_is_not_thresholded(self):
+        rng = np.random.default_rng(3)
+        pred, gt = (binary_volume(rng.random((10, 12, 9)) < 0.5) for _ in range(2))
+        for tau in (0.1, 0.5, 0.9):
+            w = SkeletonLossWeights(tau=tau)
+            assert skeleton_loss(pred, gt, w) == tasl_reference.skeleton_loss(pred, gt, w)
+
+    def test_probabilities_exactly_at_tau(self):
+        # value == tau is background; one ulp above is foreground
+        gt = np.zeros((7, 8, 9))
+        gt[3, 4, 1:8] = 1
+        gt[1:6, 2, 4] = 1
+        tau = np.float32(0.25)
+        p = np.where(gt > 0, tau, 0.0).astype("<f4")
+        p[3, 4, 2:5] = np.nextafter(tau, np.float32(1))
+        w = SkeletonLossWeights(tau=float(tau))
+        pred = Volume3D(p, PROBABILITY)
+        got = skeleton_loss(pred, binary_volume(gt), w)
+        assert got == tasl_reference.skeleton_loss(pred, binary_volume(gt), w)
+        assert got.l_node > 0  # only the three voxels above tau survive
+
+    def test_empty_prediction_and_empty_ground_truth(self):
+        line = np.zeros((6, 9, 11))
+        line[2, 3, 1:10] = 1
+        line[1:5, 7, 4] = 1
+        empty = Volume3D(np.full(line.shape, 0.3, dtype="<f4"), PROBABILITY)
+        w = SkeletonLossWeights()
+        got = skeleton_loss(empty, binary_volume(line), w)
+        assert got == tasl_reference.skeleton_loss(empty, binary_volume(line), w)
+        assert got.l_node == float(np.sqrt(3 ** 2 + 4 ** 2 + 8 ** 2))  # bbox diameter
+        for pred in (binary_volume(line), empty):
+            got = skeleton_loss(pred, binary_volume(np.zeros_like(line)), w)
+            assert got.degenerate and got == tasl_reference.skeleton_loss(
+                pred, binary_volume(np.zeros_like(line)), w)
+
+    @pytest.mark.parametrize("p, g", [(0.7, 1), (0.2, 1), (0.7, 0), (1.0, 1), (0.0, 0)])
+    def test_single_voxel_volumes(self, p, g):
+        pred = Volume3D(np.full((1, 1, 1), p, dtype="<f4"), PROBABILITY)
+        gt = binary_volume(np.full((1, 1, 1), g))
+        assert skeleton_loss(pred, gt) == tasl_reference.skeleton_loss(pred, gt)
+
+    def test_input_buffers_unchanged(self):
+        rng = np.random.default_rng(17)
+        pred = Volume3D(rng.random((9, 10, 11)).astype("<f4"), PROBABILITY)
+        gt = binary_volume(rng.random((9, 10, 11)) < 0.5)
+        other = binary_volume(rng.random((9, 10, 11)) < 0.5)
+        copies = [v.data.copy() for v in (pred, gt, other)]
+        skeleton_loss(pred, gt)
+        skeleton_loss(other, gt)
+        for vol, before in zip((pred, gt, other), copies):
+            assert not vol.data.flags.writeable
+            assert np.array_equal(vol.data, before) and vol.data.dtype == before.dtype

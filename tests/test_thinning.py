@@ -6,6 +6,7 @@ bit for bit, both the simple-point decision on single neighborhoods and
 the whole skeleton.
 """
 
+import inspect
 import itertools
 
 import numpy as np
@@ -201,3 +202,79 @@ class TestFirstIndependent:
             got = first_independent_mask(mask)
             assert np.array_equal(got, naive_first_independent(mask))
             assert np.array_equal(got[line], np.arange(200) % 2 == 0)
+
+
+def assert_same_nodes(masks):
+    """_skeleton_nodes on a sequence of masks gives, per mask, the argwhere
+    of thin and of the reference on that mask alone."""
+    got = thinning._skeleton_nodes(masks)
+    assert len(got) == len(masks)
+    for i, (mask, nodes) in enumerate(zip(masks, got)):
+        want = np.argwhere(thinning.thin(mask))
+        assert nodes.dtype == np.int64 and nodes.shape == want.shape, f"member {i}"
+        assert np.array_equal(nodes, want), f"member {i} vs thin"
+        assert np.array_equal(nodes, np.argwhere(thin_reference.thin(mask))), f"member {i} vs reference"
+
+
+def touching_all_faces(mask):
+    mask = mask.copy()
+    for face in (np.s_[0], np.s_[-1], np.s_[:, 0], np.s_[:, -1], np.s_[:, :, 0], np.s_[:, :, -1]):
+        mask[face] = True
+    return mask
+
+
+class TestSkeletonNodes:
+    """The node path reads skeleton voxels off thin's surviving flat ids."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.integers(1, 4),
+           dims=st.tuples(*[st.sampled_from([1, 2, 3, 5, 8, 11])] * 3),
+           seed=st.integers(0, 2**32 - 1), smooth=st.sampled_from([0.0, 0.8]),
+           fill=st.lists(st.sampled_from(["random", "empty", "ones", "faces"]),
+                         min_size=4, max_size=4))
+    def test_random_stacks(self, k, dims, seed, smooth, fill):
+        rng = np.random.default_rng(seed)
+        masks = []
+        for i in range(k):
+            field = rng.random(dims)
+            if smooth:
+                field = ndimage.gaussian_filter(field, smooth)
+                field = (field - field.min()) / max(float(np.ptp(field)), 1e-12)
+            random = field > rng.uniform(0.3, 0.7)
+            masks.append({"random": random, "empty": np.zeros(dims, bool),
+                          "ones": np.ones(dims, bool), "faces": touching_all_faces(random)}[fill[i]])
+        assert_same_nodes(masks)
+
+    @pytest.mark.parametrize("dims", [(1, 1, 1), (1, 6, 9), (7, 1, 4), (5, 8, 1), (3, 12, 5)])
+    def test_thin_axes_and_non_cubic_shapes(self, dims):
+        rng = np.random.default_rng(sum(dims))
+        assert_same_nodes([np.ones(dims, bool), touching_all_faces(rng.random(dims) < 0.4),
+                           np.zeros(dims, bool), rng.random(dims) < 0.7])
+
+    def test_synth_pair_as_a_tuple_of_views(self):
+        # the TASL call: a thresholded prediction and a uint8 mask's bool view
+        spec = SynthSpec(seed=3, dims=(20, 24, 16), n_branch_points=2, tube_radius=1.6)
+        mask, prob = rasterize(generate_tree(spec), spec)
+        assert_same_nodes((prob.data > 0.5, mask.data.view(bool)))
+
+    def test_masks_are_not_written(self):
+        rng = np.random.default_rng(5)
+        masks = [rng.random((6, 7, 8)) < 0.6 for _ in range(3)]
+        before = [m.copy() for m in masks]
+        thinning._skeleton_nodes(masks)
+        assert all(np.array_equal(m, b) for m, b in zip(masks, before))
+
+    def test_one_fixpoint_loop_shared_with_thin(self, monkeypatch):
+        assert inspect.getsource(thinning).count("while changed") == 1
+        calls = []
+        core = thinning._thin_stack
+
+        def counting(masks, shape):
+            calls.append(len(masks))
+            return core(masks, shape)
+
+        monkeypatch.setattr(thinning, "_thin_stack", counting)
+        mask = np.ones((4, 5, 6), dtype=bool)
+        thinning.thin(mask)
+        thinning._skeleton_nodes((mask, mask))
+        assert calls == [1, 2]
