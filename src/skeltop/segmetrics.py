@@ -39,14 +39,14 @@ def precision_recall_f1(pred: Volume3D, gt: Volume3D):
 
 
 def nearest_rank_percentile(values: np.ndarray, q: float) -> float:
-    """ceil(q * n)-th smallest element of the sample; q must be finite and >= 0."""
-    if not (isfinite(q) and q >= 0):
-        raise ValidationError(f"percentile q must be finite and >= 0, got {q!r}")
+    """ceil(q * n)-th smallest element of the sample; q must be a finite number in [0, 1]."""
+    if not (isfinite(q) and 0 <= q <= 1):
+        raise ValidationError(f"percentile q must be finite and >= 0 and <= 1, got {q!r}")
     values = np.asarray(values, dtype=np.float64).ravel()
     if len(values) == 0:
         raise UndefinedMetricError("percentile of an empty sample is undefined")
-    k = max(1, ceil(q * len(values)))
-    return float(np.partition(values, min(k, len(values)) - 1)[k - 1])  # q > 1 fails on the index
+    k = max(1, ceil(q * len(values)))  # q * n <= n exactly, so k is a rank of the sample
+    return float(np.partition(values, k - 1)[k - 1])
 
 
 def _surface_points(vol: Volume3D, use_spacing: bool) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Exact grid nearest-neighbor queries in numpy alone, for the surface and trace
 metrics and the skeleton node terms. Each distance equals the brute-force minimum
 bit for bit: a pair is skipped only when rounded arithmetic shows it no nearer.
-Integer inputs, such as voxel surfaces, first settle every query that has a target
-in its 3x3x3 lattice neighbourhood by exact integer lookups; only the rest search.
+Integer inputs first settle each query with a target in its 3x3x3 lattice cube by
+exact lookups. Two sets queried both ways share one pass over their nearby pairs.
 """
 
 import itertools
@@ -19,9 +19,9 @@ _CUBE = np.array(list(itertools.product((-1, 0, 1), repeat=3)), dtype=np.int64)
 _SHELLS = [_CUBE[(_CUBE * _CUBE).sum(1) == d2] for d2 in range(4)]  # offsets by squared length
 
 
-def _scan(best, q_cols, t_cols, owner, start, count):
+def _scan(best, q_cols, t_cols, owner, start, count, t_best=None):
     """Lower best[owner[i]] to the squared distances from that query to targets
-    start[i]:start[i] + count[i], _PAIR_BUDGET pairs at a time; owner is sorted."""
+    start[i]:start[i] + count[i], and t_best[j] to target j's if given; owner is sorted."""
     owner, start, count = (a[count > 0] for a in (owner, start, count))
     ends = np.cumsum(count)
     shift = start - (ends - count)  # target index minus pair index, per range
@@ -36,31 +36,50 @@ def _scan(best, q_cols, t_cols, owner, start, count):
             d2 += np.square(d, out=d)
         new = np.concatenate(([True], who[1:] != who[:-1]))  # a query's pairs are one run
         best[who[new]] = np.minimum(best[who[new]], np.minimum.reduceat(d2, first[new]))
+        if t_best is not None:
+            np.minimum.at(t_best, pos, d2)
 
 
 def _sorted_cells(t_cols, lo, cell, span):
-    """Id steps of a grid of side cell >= span / 2**20 (ids < 2**61), and targets by id."""
+    """Id steps of a grid of side cell >= span / 2**20 (ids < 2**61), targets by id, their order."""
     side = math.floor(span / cell) + 3  # keys 1 .. side - 2, so neighbor ids stay in range
     steps = np.array([side * side, side, 1], dtype=np.int64)
     tid = steps @ (np.floor((t_cols - lo) / cell).astype(np.int64) + 1)
     order = np.argsort(tid)
-    return steps, tid[order], t_cols[:, order]
+    return steps, tid[order], t_cols[:, order], order
+
+
+def _level(best, q_cols, t_cols, todo, lo, cell, span, t_best=None):
+    """Scan todo's 27 cells of side cell, t_best as in _scan; return the unsettled, the bound."""
+    steps, ids, sorted_cols, order = _sorted_cells(t_cols, lo, cell, span)
+    by_rank = None if t_best is None else t_best[order]
+    for i in range(0, len(todo), _PAIR_BUDGET // len(_RUNS)):
+        block = todo[i:i + _PAIR_BUDGET // len(_RUNS)]
+        qid = steps @ (np.floor((q_cols[:, block] - lo) / cell).astype(np.int64) + 1)
+        runs = (qid[:, None] + _RUNS @ steps[:2]).ravel()
+        start, stop = np.searchsorted(ids, (runs - 1, runs + 2))  # integer ids
+        _scan(best, q_cols, sorted_cols, np.repeat(block, len(_RUNS)), start, stop - start, by_rank)
+    if t_best is not None:
+        t_best[order] = by_rank
+    limit = cell * (1.0 - 2.0 ** -20)  # margin for rounding in keys and distances
+    return todo[~(best[todo] <= limit * limit)], limit * limit
 
 
 def _bounded_pass(best, q_cols, t_cols, todo, lo, cell, span):
-    """Lower best[todo] to exact minima, scanning the occupied cells whose tight box
-    lies within the query's best so far or its distance to a cell's first target."""
-    _, ids, t_cols = _sorted_cells(t_cols, lo, cell, span)
+    """Lower best[todo] to exact minima: scan each query's occupied cell of nearest
+    tight box, then the other cells whose box lies within its best so far."""
+    _, ids, t_cols, _ = _sorted_cells(t_cols, lo, cell, span)
     _, first, count = np.unique(ids, return_index=True, return_counts=True)
     box_lo, box_hi = np.minimum.reduceat(t_cols, first, 1), np.maximum.reduceat(t_cols, first, 1)
     rows = max(1, _PAIR_BUDGET // len(first))
     for block in (todo[i:i + rows] for i in range(0, len(todo), rows)):
-        qc = [c[block, None] for c in q_cols]
-        d = [tc[first] - c for tc, c in zip(t_cols, qc)]
-        ub = np.minimum(best[block], (d[0] * d[0] + d[1] * d[1] + d[2] * d[2]).min(axis=1))
         # rounding is monotone: no computed |t - q| in a box is below its gap
-        g = [np.maximum(np.maximum(a - c, c - b), 0.0) for a, b, c in zip(box_lo, box_hi, qc)]
-        row, col = np.nonzero(g[0] * g[0] + g[1] * g[1] + g[2] * g[2] <= ub[:, None])
+        gap = sum(np.maximum(np.maximum(a - c[block, None], c[block, None] - b), 0.0) ** 2
+                  for a, b, c in zip(box_lo, box_hi, q_cols))
+        near = gap.argmin(axis=1)
+        _scan(best, q_cols, t_cols, block, first[near], count[near])
+        gap[np.arange(len(block)), near] = np.inf  # scanned
+        row, col = np.nonzero(gap <= best[block, None])
         _scan(best, q_cols, t_cols, block[row], first[col], count[col])
 
 
@@ -85,11 +104,29 @@ def _lattice(best, q_cols, t_cols, lo, hi):
 
 
 def _points(p, what):
-    """p as an (n, 3) array, or ValidationError."""
+    """p as an (n, 3) array of bool, integer or float, or ValidationError."""
     a = np.asarray(p)
     if a.ndim != 2 or a.shape[1] != 3:
         raise ValidationError(f"{what} points must be an (n, 3) array, got shape {a.shape}")
+    if a.dtype.kind not in "biuf":
+        raise ValidationError(f"{what} points must be bool, integer or float, got {a.dtype}")
     return a
+
+
+def _setup(queries, targets):
+    """Validated inputs, their float64 columns, the low and high corners of their box,
+    the target extent, the span and the first cell (extent / sqrt(n_t), >= span / 2**20)."""
+    queries, targets = _points(queries, "query"), _points(targets, "target")
+    q_cols, t_cols = (p.astype(np.float64).T.copy() for p in (queries, targets))
+    if not (np.isfinite(q_cols).all() and np.isfinite(t_cols).all()):
+        raise ValidationError("query and target points must be finite")
+    if len(targets) == 0:
+        raise ValidationError("nearest distances need a non-empty target set")
+    both = np.concatenate((q_cols, t_cols), axis=1)  # reductions are fast on (3, n)
+    lo, hi = both.min(1, keepdims=True), both.max(1, keepdims=True)
+    extent, span = float(np.ptp(t_cols, 1).max()), float((hi - lo).max())
+    cell = max(extent / math.sqrt(len(targets)), span / 2.0 ** 20)
+    return queries, targets, q_cols, t_cols, lo, hi, extent, span, cell
 
 
 @np.errstate(over="ignore")  # separations beyond the float range are inf
@@ -99,48 +136,55 @@ def min_dists_to_set(queries, targets) -> np.ndarray:
     pairs, or on a degenerate span, all pairs are scanned. Otherwise a query scans
     its 27 cells of side extent / sqrt(n_t) (at least span / 2**20), doubled up to
     `far` = extent / n_t**0.25, until its best is within the cell. The rest take one
-    bounded pass over cells of side `far`, about sqrt(n_t) cells on a surface.
+    bounded pass over cells of side `far`, about sqrt(n_t) cells on a surface: each
+    scans the cell of its nearest tight box, then those within its best so far.
 
     When both inputs have an integer dtype and every coordinate is below 2**53 in
     magnitude (so float64 holds it exactly), a lattice stage runs before the grid:
     each query probes its 3x3x3 neighbourhood among the sorted target ids, in shells
     of squared distance 0, 1, 2 and 3, and settles at its first hit. Any target
     outside the cube is at squared distance 4 or more, so that hit is the exact
-    minimum, and its square root is what brute force computes. Only the queries
-    with no target in their cube search the grid. A padded bounding box of more
-    than 2**63 - 1 voxels skips the stage. Inputs must be (n, 3) arrays."""
-    queries, targets = _points(queries, "query"), _points(targets, "target")
-    q_cols, t_cols = (p.astype(np.float64).T.copy() for p in (queries, targets))
-    if not (np.isfinite(q_cols).all() and np.isfinite(t_cols).all()):
-        raise ValidationError("query and target points must be finite")
-    n_q, n_t = q_cols.shape[1], t_cols.shape[1]
-    if n_t == 0:
-        raise ValidationError("nearest distances need a non-empty target set")
-    best = np.full(n_q, np.inf)
-    if n_q == 0:
-        return best
-    t_lo, t_hi = t_cols.min(1, keepdims=True), t_cols.max(1, keepdims=True)  # fast on (3, n)
-    lo, extent = np.minimum(q_cols.min(1, keepdims=True), t_lo), float((t_hi - t_lo).max())
-    hi = np.maximum(q_cols.max(1, keepdims=True), t_hi)
-    span = float((hi - lo).max())
-    cell = max(extent / math.sqrt(n_t), span / 2.0 ** 20)
+    minimum, and its square root is what brute force computes. The rest search the
+    grid from the first doubled cell that can settle one (above 2 after the rounding
+    margin; `far` is at least that cell). A padded bounding box of more than 2**63 - 1
+    voxels skips the stage. Inputs must be (n, 3) arrays of bool, integer or float."""
+    queries, targets, q_cols, t_cols, lo, hi, extent, span, cell = _setup(queries, targets)
+    best, n_q, n_t = np.full(len(queries), np.inf), len(queries), len(targets)
     if n_q * n_t <= _PAIR_BUDGET or not 0 < cell < span:
         _scan(best, q_cols, t_cols, np.arange(n_q), np.zeros(n_q, np.int64), np.full(n_q, n_t))
         return np.sqrt(best)
-    todo, far = np.arange(n_q), max(extent / n_t ** 0.25, cell)
+    todo = np.arange(n_q)
     if (np.issubdtype(queries.dtype, np.integer) and np.issubdtype(targets.dtype, np.integer)
             and -2.0 ** 53 < lo.min() and hi.max() < 2.0 ** 53):  # exact in float64
         todo = _lattice(best, q_cols, t_cols, lo, hi)
+        while cell * (1.0 - 2.0 ** -20) < 2.0:  # the rest are at d2 >= 4
+            cell *= 2.0
+    far = max(extent / n_t ** 0.25, cell)
     while len(todo) and cell <= far:  # coarser levels would span most of a surface
-        steps, ids, sorted_cols = _sorted_cells(t_cols, lo, cell, span)
-        for i in range(0, len(todo), _PAIR_BUDGET // len(_RUNS)):
-            block = todo[i:i + _PAIR_BUDGET // len(_RUNS)]
-            qid = steps @ (np.floor((q_cols[:, block] - lo) / cell).astype(np.int64) + 1)
-            runs = (qid[:, None] + _RUNS @ steps[:2]).ravel()
-            start, stop = np.searchsorted(ids, (runs - 1, runs + 2))  # integer ids
-            _scan(best, q_cols, sorted_cols, np.repeat(block, len(_RUNS)), start, stop - start)
-        limit = cell * (1.0 - 2.0 ** -20)  # margin for rounding in keys and distances
-        todo, cell = todo[~(best[todo] <= limit * limit)], cell * 2.0
+        todo, cell = _level(best, q_cols, t_cols, todo, lo, cell, span)[0], cell * 2.0
     if len(todo):
         _bounded_pass(best, q_cols, t_cols, todo, lo, far, span)
     return np.sqrt(best)
+
+
+@np.errstate(over="ignore")
+def _min_dists_both(a, b):
+    """(min_dists_to_set(a, b), min_dists_to_set(b, a)) bit for bit, from one pass
+    over all pairs or over the first grid level of a onto b. The 27-cell relation is
+    symmetric, so a b point whose best is within the cell is exact too, as (t - q)**2
+    == (q - t)**2, summed in the same axis order. The points either side leaves
+    unsettled go through min_dists_to_set."""
+    a, b, a_cols, b_cols, lo, _, _, span, cell = _setup(a, b)
+    if len(a) == 0:  # the reverse call fails as min_dists_to_set does
+        return min_dists_to_set(a, b), min_dists_to_set(b, a)
+    (n_a, n_b), best_a, best_b = (len(a), len(b)), np.full(len(a), np.inf), np.full(len(b), np.inf)
+    if n_a * n_b <= _PAIR_BUDGET or not 0 < cell < span:
+        _scan(best_a, a_cols, b_cols, np.arange(n_a), np.zeros(n_a, np.int64), np.full(n_a, n_b),
+              best_b)
+        return np.sqrt(best_a), np.sqrt(best_b)
+    todo_a, bound = _level(best_a, a_cols, b_cols, np.arange(n_a), lo, cell, span, best_b)
+    todo_b, d_a, d_b = np.flatnonzero(~(best_b <= bound)), np.sqrt(best_a), np.sqrt(best_b)
+    for d, todo, q, t in ((d_a, todo_a, a, b), (d_b, todo_b, b, a)):
+        if len(todo):
+            d[todo] = min_dists_to_set(q[todo], t)
+    return d_a, d_b

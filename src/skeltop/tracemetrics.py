@@ -23,10 +23,6 @@ from .swc import Morphology, resample_arrays
 DEFAULT_MATCH_THRESHOLD = 2.0
 
 
-def _nearest(a: Morphology, b: Morphology) -> np.ndarray:
-    return spatial.min_dists_to_set(a.node_positions(), b.node_positions())
-
-
 def _dsa(d_pred, theta):
     mism = d_pred[d_pred > theta]
     return float(mism.mean()) if len(mism) else 0.0
@@ -41,7 +37,7 @@ def esa(pred: Morphology, gt: Morphology) -> float:
     """Mean distance from each prediction node to its nearest reference node."""
     if pred.is_empty() or gt.is_empty():
         raise UndefinedMetricError("esa is undefined for empty traces")
-    return float(_nearest(pred, gt).mean())
+    return float(spatial.min_dists_to_set(pred.node_positions(), gt.node_positions()).mean())
 
 
 def dsa(pred: Morphology, gt: Morphology,
@@ -51,7 +47,7 @@ def dsa(pred: Morphology, gt: Morphology,
     check_positive_finite("match threshold", theta)
     if gt.is_empty():
         raise UndefinedMetricError("dsa is undefined for an empty reference trace")
-    return _dsa(_nearest(pred, gt), theta)
+    return _dsa(spatial.min_dists_to_set(pred.node_positions(), gt.node_positions()), theta)
 
 
 def pds(pred: Morphology, gt: Morphology,
@@ -65,7 +61,7 @@ def pds(pred: Morphology, gt: Morphology,
         raise UndefinedMetricError("pds is undefined when both traces are empty")
     if n_pred == 0 or n_gt == 0:
         return 1.0
-    return _pds(_nearest(pred, gt), _nearest(gt, pred), theta)
+    return _pds(*spatial._min_dists_both(pred.node_positions(), gt.node_positions()), theta)
 
 
 @dataclass(frozen=True)
@@ -85,7 +81,7 @@ class TraceReport:
 def evaluate_trace(pred: Morphology, gt: Morphology,
                    theta: float = DEFAULT_MATCH_THRESHOLD,
                    resample_step: float | None = None) -> TraceReport:
-    """esa/dsa/pds from one query per direction; node counts after any resampling."""
+    """esa/dsa/pds from one pass for both directions; node counts after any resampling."""
     check_positive_finite("match threshold", theta)
     if resample_step is None:
         p_xyz, g_xyz = pred.node_positions(), gt.node_positions()
@@ -94,11 +90,11 @@ def evaluate_trace(pred: Morphology, gt: Morphology,
         g_xyz = resample_arrays(gt, resample_step)[0]
     if not (len(p_xyz) and len(g_xyz)):
         raise UndefinedMetricError("esa is undefined for empty traces")
-    d_pred = spatial.min_dists_to_set(p_xyz, g_xyz)
+    d_pred, d_gt = spatial._min_dists_both(p_xyz, g_xyz)
     return TraceReport(
         esa=float(d_pred.mean()),
         dsa=_dsa(d_pred, theta),
-        pds=_pds(d_pred, spatial.min_dists_to_set(g_xyz, p_xyz), theta),
+        pds=_pds(d_pred, d_gt, theta),
         match_threshold=theta,
         n_pred=len(p_xyz),
         n_gt=len(g_xyz),

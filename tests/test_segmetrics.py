@@ -112,9 +112,12 @@ class TestNearestRankPercentile:
         assert nearest_rank_percentile(values, q) == np.sort(values)[k - 1]
         assert np.array_equal(values, before)
 
-    def test_rank_beyond_sample_raises_index_error(self):
-        with pytest.raises(IndexError, match="index 3 is out of bounds"):
-            nearest_rank_percentile(np.array([1.0, 2.0, 3.0]), 1.2)
+    @pytest.mark.parametrize("q", [1.2, 1.5, np.nextafter(1.0, 2.0)])
+    def test_q_above_one_raises_validation_error(self, q):
+        for values in ([1.0, 2.0, 3.0], [1.0, 2.0]):
+            with pytest.raises(ValidationError, match="<= 1"):
+                nearest_rank_percentile(np.array(values), q)
+        assert nearest_rank_percentile(np.array([1.0, 2.0, 3.0]), 1.0) == 3.0
 
 
     @pytest.mark.parametrize("q", [-1.0, -1e-300, np.nan, np.inf, -np.inf])

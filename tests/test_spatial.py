@@ -1,3 +1,5 @@
+import itertools
+import re
 import time
 
 import numpy as np
@@ -395,3 +397,161 @@ def test_integer_and_float_inputs_mixed_take_the_float_path(monkeypatch):
     for q, t in ((ints, floats), (floats, ints)):
         assert np.array_equal(min_dists_to_set(q, t), brute_min_dists(q, t))
     assert left == []
+
+
+def _two_calls(a, b):
+    return min_dists_to_set(a, b), min_dists_to_set(b, a)
+
+
+def _border_points(rng):
+    """The lattice targets and cell-border queries (and their 1-ulp neighbours) of
+    test_nearest_on_cell_borders_and_one_ulp_off."""
+    targets = np.concatenate(([[0.0, 0.0, 0.0], [4.0, 4.0, 4.0]],
+                              rng.integers(0, 5, size=(14, 3)).astype(float)))
+    borders = rng.integers(0, 9, size=(300, 3)) * 0.5
+    return np.concatenate([borders, np.nextafter(borders, np.inf),
+                           np.nextafter(borders, -np.inf)]), targets
+
+
+def _pair_sets(kind, rng, n_a, n_b):
+    """(a, b) of one family that _min_dists_both must match two calls on."""
+    if kind == "floats":
+        return rng.uniform(-15, 40, size=(n_a, 3)), rng.uniform(-5, 20, size=(n_b, 3))
+    if kind == "jittered-curves":  # a trace and its jittered copy, 0.25 apart along the curve
+        walk = np.cumsum(rng.normal(0, 1, size=(max(n_a, n_b) // 8 + 2, 3)), axis=0)
+        steps = np.linspace(0, len(walk) - 1, max(n_a, n_b))
+        curve = np.stack([np.interp(steps, np.arange(len(walk)), c) for c in walk.T], 1)
+        return curve[:n_a] + rng.normal(0, 0.4, size=(n_a, 3)), curve[:n_b]
+    if kind == "borders":
+        a, b = _border_points(rng)
+        return a[:n_a], b
+    if kind == "duplicates":  # repeated points on both sides, some shared
+        pts = rng.uniform(0, 20, size=(30, 3))
+        return pts[rng.integers(0, 30, n_a)], pts[rng.integers(0, 30, n_b)]
+    if kind == "collinear":
+        return [np.stack((np.zeros(n), np.zeros(n), rng.uniform(0, 50, n)), 1) for n in (n_a, n_b)]
+    if kind == "identical":  # zero span
+        return np.full((n_a, 3), 2.5), np.full((n_b, 3), 2.5)
+    if kind == "far-apart":  # two clouds far apart: every point of both sides is left over
+        return rng.uniform(0, 1, size=(n_a, 3)), rng.uniform(0, 1, size=(n_b, 3)) + (9, 0, 40)
+    if kind == "partly-far":  # a far cluster on each side next to a shared one
+        a, b = rng.uniform(0, 5, size=(n_a, 3)), rng.uniform(0, 5, size=(n_b, 3))
+        a[: n_a // 5] += (30, 0, 0)
+        b[: n_b // 5] -= (0, 30, 0)
+        return a, b
+    # integer: voxel surfaces with speckle and outliers
+    a, b = _voxel_surfaces(rng, 24)
+    return a[:n_a], b[:n_b]
+
+
+_PAIR_KINDS = ("floats", "jittered-curves", "borders", "duplicates", "collinear", "identical",
+               "far-apart", "partly-far", "integer")
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_both_directions_match_two_calls_and_brute_force(data):
+    kind = data.draw(st.sampled_from(_PAIR_KINDS))
+    n_a, n_b = (data.draw(st.integers(1, 1500)) for _ in range(2))
+    a, b = _pair_sets(kind, np.random.default_rng(data.draw(st.integers(0, 2 ** 31 - 1))), n_a, n_b)
+    d_a, d_b = spatial._min_dists_both(a, b)
+    want_a, want_b = _two_calls(a, b)
+    assert np.array_equal(d_a, want_a) and np.array_equal(d_b, want_b)
+    assert np.array_equal(d_a, brute_in_blocks(a, b)) and np.array_equal(d_b, brute_in_blocks(b, a))
+
+
+@pytest.mark.parametrize("kind", _PAIR_KINDS)
+@pytest.mark.parametrize("extra", [0, 1])
+def test_both_directions_on_either_side_of_the_pair_budget(monkeypatch, kind, extra):
+    pairs = spatial._PAIR_BUDGET + extra
+    n_b = max(d for d in range(1, int(pairs ** 0.5) + 1) if pairs % d == 0)
+    a, b = _pair_sets(kind, np.random.default_rng(41), pairs // n_b, n_b)
+    a, b = a[:pairs // n_b], b[:n_b]
+    levels = _spy(monkeypatch, "_level")
+    d_a, d_b = spatial._min_dists_both(a, b)
+    assert np.array_equal(d_a, brute_min_dists(a, b)) and np.array_equal(d_b, brute_min_dists(b, a))
+    if len(a) * len(b) <= spatial._PAIR_BUDGET:
+        assert levels == []  # one all-pairs scan serves both sides
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_both_directions_on_cell_borders_and_one_ulp_off(seed):
+    a, b = _border_points(np.random.default_rng(seed))
+    for x, y in ((a, b), (b, a)):
+        d_x, d_y = spatial._min_dists_both(x, y)
+        assert np.array_equal(d_x, brute_min_dists(x, y)) and np.array_equal(d_y, brute_min_dists(y, x))
+
+
+def test_both_directions_share_the_first_level(monkeypatch):
+    # nearly all of the shared cluster settles in the one shared level; the far
+    # cluster of each side goes through min_dists_to_set
+    a, b = _pair_sets("partly-far", np.random.default_rng(42), 3000, 2500)
+    levels, calls = _spy(monkeypatch, "_level"), []
+    real = spatial.min_dists_to_set
+    monkeypatch.setattr(spatial, "min_dists_to_set", lambda q, t: calls.append(len(q)) or real(q, t))
+    d_a, d_b = spatial._min_dists_both(a, b)
+    assert np.array_equal(d_a, brute_in_blocks(a, b)) and np.array_equal(d_b, brute_in_blocks(b, a))
+    assert len(levels[0]) == 8  # the first level carries the reverse side
+    assert 0 < calls[0] < len(a) and 0 < calls[1] < len(b)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("side", [0, 1])
+def test_both_directions_raise_as_two_calls_do(bad, side):
+    good = np.random.default_rng(43).uniform(0, 5, size=(200, 3))
+    poisoned = good.copy()
+    poisoned[7, 1] = bad
+    cases = [(np.empty((0, 3)), good), (good, np.empty((0, 3))), (np.empty((0, 3)),) * 2,
+             (np.zeros((2, 2)), good), (good, np.zeros(6)), (poisoned, good)]
+    for a, b in cases:
+        a, b = (a, b) if side == 0 else (b, a)
+        with pytest.raises(ValidationError) as want:
+            _two_calls(a, b)
+        with pytest.raises(ValidationError, match=re.escape(str(want.value))):
+            spatial._min_dists_both(a, b)
+
+
+@pytest.mark.parametrize("bad", [[["a", "b", "c"]], np.array([[1 + 2j, 0, 0]]),
+                                 np.array([[1, 2, 3]], dtype=object),
+                                 np.array([["2026-01-01"] * 3], dtype="datetime64[D]")])
+def test_rejects_points_that_are_not_numbers(bad):
+    good = np.zeros((2, 3))
+    for q, t in ((bad, good), (good, bad)):
+        with pytest.raises(ValidationError, match="bool, integer or float"):
+            min_dists_to_set(q, t)
+        with pytest.raises(ValidationError, match="bool, integer or float"):
+            spatial._min_dists_both(q, t)
+    assert np.array_equal(min_dists_to_set(np.ones((2, 3), bool), good), np.full(2, np.sqrt(3.0)))
+
+
+def _speckled_surface(rng, d2s):
+    """A voxel sphere surface, and queries on it plus one speckle voxel at each
+    squared distance in d2s from a random surface voxel, outward along a lattice
+    offset of that length (so no other surface voxel is nearer)."""
+    zz, yy, xx = np.ogrid[:40, :40, :40]
+    ball = (zz - 20) ** 2 + (yy - 20) ** 2 + (xx - 20) ** 2 <= 12 ** 2
+    surface = surface_voxel_array(Volume3D(ball.astype("u1"), BINARY))
+    speckle = []
+    for d2 in d2s:
+        offsets = np.array([o for o in itertools.product(range(-7, 8), repeat=3)
+                            if np.dot(o, o) == d2])
+        ends = (surface[rng.permutation(len(surface))[:40], None] + offsets).reshape(-1, 3)
+        nearest = np.array([((surface - p) ** 2).sum(1).min() for p in ends])
+        speckle.append(ends[np.flatnonzero(nearest == d2)[0]])  # one end nearest its own voxel
+    return np.concatenate((surface[::2], speckle)), surface
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_lattice_leftovers_at_squared_distance_4_5_8_9_and_beyond_40(monkeypatch, seed):
+    rng = np.random.default_rng(seed)
+    d2s = [4, 5, 8, 9, 41, 50, 72, 98]
+    queries, targets = _speckled_surface(rng, d2s)
+    left, levels = _spy_results(monkeypatch, "_lattice"), _spy(monkeypatch, "_level")
+    got = min_dists_to_set(queries, targets)
+    assert np.array_equal(got, brute_in_blocks(queries, targets))
+    assert np.array_equal(got, nn_reference.min_dists_to_set(queries, targets))
+    assert np.array_equal(np.sort(np.rint(got[left[0]] ** 2)), d2s)  # the speckle, and only it
+    cell = levels[0][5]  # the first level can settle a leftover at d2 = 4
+    assert cell * (1.0 - 2.0 ** -20) >= 2.0 and cell / 2.0 * (1.0 - 2.0 ** -20) < 2.0
+    for q, t in ((queries.astype(np.int32), targets.astype(np.int32)), (targets, queries)):
+        assert np.array_equal(min_dists_to_set(q, t), brute_in_blocks(q, t))

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import resample_reference
 from skeltop import (Morphology, SwcRecord, UndefinedMetricError, ValidationError,
-                     dsa, esa, evaluate_trace, pds, resample)
+                     dsa, esa, evaluate_trace, pds, resample, spatial)
 
 from conftest import brute_min_dists, forests
 
@@ -211,3 +211,46 @@ class TestEvaluateTrace:
         assert report.match_threshold == 3.5
         obj = report.to_json_obj()
         assert obj["match_threshold"] == 3.5 and obj["n_gt"] == 25
+
+
+def two_call_report(pred, gt, theta, step):
+    """evaluate_trace as it was with one min_dists_to_set call per direction."""
+    p, g = (pred, gt) if step is None else (resample(pred, step), resample(gt, step))
+    d_pred = spatial.min_dists_to_set(p.node_positions(), g.node_positions())
+    d_gt = spatial.min_dists_to_set(g.node_positions(), p.node_positions())
+    mism = d_pred[d_pred > theta]
+    return (float(d_pred.mean()), float(mism.mean()) if len(mism) else 0.0,
+            (len(mism) + int(np.count_nonzero(d_gt > theta))) / (len(d_pred) + len(d_gt)))
+
+
+def jittered_trace(seed, n, sigma):
+    """A random-walk trace and a copy with every node jittered by sigma per axis."""
+    rng = np.random.default_rng(seed)
+    gt = path_morphology(np.cumsum(rng.normal(0, 1.5, size=(n, 3)), axis=0))
+    return path_morphology(gt.node_positions() + rng.normal(0, sigma, size=(n, 3))), gt
+
+
+class TestBothDirectionsPinned:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("step", [None, 0.25, 1.0])
+    def test_evaluate_trace_and_pds_equal_two_calls(self, seed, step):
+        # at step 0.25 the traces hold ~1000 nodes, past the all-pairs budget
+        pred, gt = jittered_trace(300 + seed, 160, 0.4 + seed)
+        for theta in (0.5, 2.0):
+            report = evaluate_trace(pred, gt, theta=theta, resample_step=step)
+            want = two_call_report(pred, gt, theta, step)
+            assert (report.esa, report.dsa, report.pds) == want
+            p, g = (pred, gt) if step is None else (resample(pred, step), resample(gt, step))
+            assert pds(p, g, theta) == want[2]
+
+    def test_far_branches_take_the_leftover_path(self, monkeypatch):
+        pred, gt = jittered_trace(310, 400, 0.4)
+        shifted = pred.node_positions()
+        shifted[:60] += (25.0, 0.0, 0.0)  # a far branch on the prediction side only
+        pred = path_morphology(shifted)
+        calls, real = [], spatial.min_dists_to_set
+        monkeypatch.setattr(spatial, "min_dists_to_set", lambda q, t: calls.append(len(q)) or real(q, t))
+        report = evaluate_trace(pred, gt, theta=2.0, resample_step=0.25)
+        monkeypatch.undo()
+        assert (report.esa, report.dsa, report.pds) == two_call_report(pred, gt, 2.0, 0.25)
+        assert calls and calls[0] < report.n_pred  # only the unsettled nodes are searched again
