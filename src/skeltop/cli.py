@@ -9,10 +9,12 @@ Re-running a command on identical inputs produces byte-identical JSON.
 ``seg-eval``, ``trace-eval`` and ``tasl`` also accept ``--pred-dir`` /
 ``--gt-dir`` batch mode: files are paired by stem, entries are isolated
 (a malformed file only fails its own entry, with an ``error`` message and
-an ``error_kind`` of ``parse``, ``validation`` or ``io``), and entries
-are evaluated one after another and emitted in sorted stem order. Numeric
-flags are checked before any file is read, so a bad flag fails the whole
-run with exit 2.
+an ``error_kind`` of ``parse``, ``validation`` or ``io``; two files with
+one stem on one side are an ``io`` entry), and entries are evaluated one
+after another and emitted in sorted stem order. Numeric flags are checked
+before any file is read, so a bad flag fails the whole run with exit 2.
+Each handler imports the modules only its command uses, so ``tasl``
+loads no trace, synthesis, inflation or segmentation module.
 """
 
 import argparse
@@ -24,21 +26,15 @@ import sys
 
 import numpy as np
 
-from . import inflate as inflate_mod
 from . import rawjson
-from . import swc as swc_mod
-from . import synth as synth_mod
 from .errors import ParseError, SkeltopError, ValidationError, check_positive_finite
-from .losses import DeepSupervisionConfig, ScaleLoss, default_scale_weights, total_loss
-from .segmetrics import evaluate_segmentation
 from .skeleton import graph_from_skeleton, skeletonize
 from .skeleton_loss import SkeletonLossWeights, skeleton_loss
-from .tracemetrics import evaluate_trace
 from .volume import PROBABILITY, check_tau, read_volume, threshold, write_volume
 
 SCHEMA = 1
 VOLUME_EXTENSIONS = (".json", ".nrrd")
-INFLATIONS = {"center": inflate_mod.inflate_center, "average": inflate_mod.inflate_average}
+INFLATIONS = ("center", "average")
 
 
 def _dumps(payload) -> str:
@@ -53,11 +49,11 @@ def _dumps(payload) -> str:
 
 
 def _stems(directory, extensions):
-    """Stem -> path for the files in `directory` with one of `extensions`."""
+    """Stem -> paths of the files in `directory` with one of `extensions`."""
     stems = {}
     for name in sorted(os.listdir(directory)):
         if name.endswith(extensions):
-            stems[name.rsplit(".", 1)[0]] = os.path.join(directory, name)
+            stems.setdefault(name.rsplit(".", 1)[0], []).append(os.path.join(directory, name))
     return stems
 
 
@@ -72,10 +68,14 @@ def _run_pairs(args, parser, extensions, evaluate_pair):
     pred_stems, gt_stems = (_stems(d, extensions) for d in (args.pred_dir, args.gt_dir))
 
     def run_one(stem):
-        if stem not in gt_stems:
+        pred, gt = pred_stems[stem], gt_stems.get(stem, [])
+        clash = ", ".join(path for paths in (pred, gt) if len(paths) > 1 for path in paths)
+        if clash:
+            return {"stem": stem, "error": f"files share one stem: {clash}", "error_kind": "io"}
+        if not gt:
             return {"stem": stem, "error": "no matching ground-truth file", "error_kind": "io"}
         try:
-            result = evaluate_pair(pred_stems[stem], gt_stems[stem])
+            result = evaluate_pair(pred[0], gt[0])
             _dumps(result)
         except ParseError as exc:
             return {"stem": stem, "error": str(exc), "error_kind": "parse"}
@@ -92,6 +92,7 @@ def _run_pairs(args, parser, extensions, evaluate_pair):
 # Command handlers
 
 def _cmd_seg_eval(args, parser):
+    from .segmetrics import evaluate_segmentation
     check_tau(args.tau)
 
     def evaluate_pair(pred_path, gt_path):
@@ -104,13 +105,14 @@ def _cmd_seg_eval(args, parser):
 
 
 def _cmd_trace_eval(args, parser):
+    from . import swc, tracemetrics
     check_positive_finite("match threshold", args.theta)
     if args.resample is not None:
         check_positive_finite("resample step", args.resample)
 
     def evaluate_pair(pred_path, gt_path):
-        report = evaluate_trace(swc_mod.load_swc(pred_path), swc_mod.load_swc(gt_path),
-                                theta=args.theta, resample_step=args.resample)
+        report = tracemetrics.evaluate_trace(swc.load_swc(pred_path), swc.load_swc(gt_path),
+                                             theta=args.theta, resample_step=args.resample)
         return report.to_json_obj()
 
     return _run_pairs(args, parser, ".swc", evaluate_pair)
@@ -140,6 +142,7 @@ def _cmd_tasl(args, parser):
 
 
 def _cmd_loss(args, parser):
+    from .losses import DeepSupervisionConfig, ScaleLoss, default_scale_weights, total_loss
     doc = rawjson.load_object(args.scales)
     if "scales" not in doc:
         raise ValidationError(f"{args.scales}: expected an object with a 'scales' array")
@@ -183,48 +186,47 @@ def _cmd_graph(args, parser):
 
 
 def _cmd_inflate(args, parser):
+    from . import inflate
     if args.kernel is None or args.kd is None or args.out is None:
         parser.error("inflate requires --kernel, --kd and --out")
-    kernel = inflate_mod.read_kernel2d(args.kernel)
-    k3 = INFLATIONS[args.mode](kernel, args.kd)
-    inflate_mod.write_tensor(k3.weights, args.out)
+    kernel = inflate.read_kernel2d(args.kernel)
+    k3 = getattr(inflate, f"inflate_{args.mode}")(kernel, args.kd)
+    inflate.write_tensor(k3.weights, args.out)
     return {"schema": SCHEMA, "out": args.out, "mode": args.mode,
             "kd": args.kd, "shape": list(k3.shape)}
 
 
 def _cmd_inflate_verify(args, parser):
-    kernel = inflate_mod.read_kernel2d(args.kernel)
+    from . import inflate
+    kernel = inflate.read_kernel2d(args.kernel)
     vol = read_volume(args.volume)
     c_in = kernel.shape[1]
     field = np.repeat(vol.data.astype(np.float64)[None, ...], c_in, axis=0)
-    center_res = inflate_mod.center_inflation_residual(field, kernel, args.kd)
-    average_res = inflate_mod.average_inflation_residual(field, kernel, args.kd)
-    mass = {mode: float(np.abs(inflate(kernel, args.kd).depth_sum() - kernel.weights).max())
-            for mode, inflate in INFLATIONS.items()}
-    return {
-        "schema": SCHEMA,
-        "kd": args.kd,
-        "center_max_residual": center_res,
-        "average_interior_max_residual": average_res,
-        "center_depth_sum_max_error": mass["center"],
-        "average_depth_sum_max_error": mass["average"],
-    }
+    center_res = inflate.center_inflation_residual(field, kernel, args.kd)
+    average_res = inflate.average_inflation_residual(field, kernel, args.kd)
+    mass = {mode: float(np.abs(getattr(inflate, f"inflate_{mode}")(kernel, args.kd).depth_sum()
+                               - kernel.weights).max()) for mode in INFLATIONS}
+    return {"schema": SCHEMA, "kd": args.kd, "center_max_residual": center_res,
+            "average_interior_max_residual": average_res,
+            "center_depth_sum_max_error": mass["center"],
+            "average_depth_sum_max_error": mass["average"]}
 
 
 def _cmd_synth(args, parser):
+    from . import swc, synth
     doc = rawjson.load_object(args.spec)
     if "seed" not in doc:
         raise ValidationError(f"{args.spec}: expected an object with at least a 'seed' field")
-    unknown = set(doc) - {field.name for field in dataclasses.fields(synth_mod.SynthSpec)}
+    unknown = set(doc) - {field.name for field in dataclasses.fields(synth.SynthSpec)}
     if unknown:
         raise ValidationError(f"{args.spec}: unknown field(s) {sorted(unknown)}")
-    spec = synth_mod.SynthSpec(**doc)
-    tree = synth_mod.generate_tree(spec)
-    mask, prob = synth_mod.rasterize(tree, spec)
+    spec = synth.SynthSpec(**doc)
+    tree = synth.generate_tree(spec)
+    mask, prob = synth.rasterize(tree, spec)
     swc_path = f"{args.out_prefix}.swc"
     mask_path = f"{args.out_prefix}_mask.json"
     prob_path = f"{args.out_prefix}_prob.json"
-    swc_mod.save_swc(tree, swc_path)
+    swc.save_swc(tree, swc_path)
     write_volume(mask, mask_path)
     write_volume(prob, prob_path)
     return {"schema": SCHEMA, "swc": swc_path, "mask": mask_path, "prob": prob_path,
@@ -292,7 +294,7 @@ def build_parser():
     inflate_sub = p.add_subparsers(dest="inflate_command")
     p.add_argument("--kernel", help="2D kernel tensor (shape c_out,c_in,k_h,k_w)")
     p.add_argument("--kd", type=int, help="target kernel depth")
-    p.add_argument("--mode", choices=tuple(INFLATIONS), default="center")
+    p.add_argument("--mode", choices=INFLATIONS, default="center")
     p.add_argument("--out", help="output 3D kernel tensor path")
     p.set_defaults(handler=_cmd_inflate)
 

@@ -11,6 +11,11 @@ from skeltop.inflate import write_tensor
 from skeltop.synth import SynthSpec, generate_tree, rasterize
 
 
+# skeltop modules that only commands other than tasl import
+UNUSED_BY_TASL = ["skeltop.inflate", "skeltop.losses", "skeltop.segmetrics", "skeltop.swc",
+                  "skeltop.synth", "skeltop.tracemetrics"]
+
+
 def run_cli(*args, env_extra=None, timeout=None):
     env = dict(os.environ)
     if env_extra:
@@ -317,6 +322,37 @@ class TestBatchMode:
         assert by_stem["case31"]["total"] == 0.0
         assert "error" in by_stem["broken"]
 
+    def test_tasl_batch_loads_only_its_modules(self, batch_dirs):
+        """A tasl batch run end to end imports no scipy and none of the
+        modules that only other commands use."""
+        pred_dir, gt_dir = batch_dirs
+        code = ("import sys\nfrom skeltop.cli import main\nassert main(sys.argv[1:]) == 0\n"
+                "print(*sorted(m for m in sys.modules if m.startswith(('scipy', 'skeltop.'))),"
+                " file=sys.stderr)")
+        res = subprocess.run([sys.executable, "-c", code, "tasl", "--pred-dir", str(pred_dir),
+                              "--gt-dir", str(gt_dir)], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == run_cli("tasl", "--pred-dir", str(pred_dir),
+                                     "--gt-dir", str(gt_dir)).stdout
+        loaded = res.stderr.split()
+        assert "skeltop.skeleton_loss" in loaded
+        assert not [m for m in loaded if m in UNUSED_BY_TASL or m.startswith("scipy")], loaded
+
+    @pytest.mark.parametrize("command", ["seg-eval", "tasl"])
+    @pytest.mark.parametrize("side", ["pred", "gt"])
+    def test_two_files_with_one_stem_fail_that_entry(self, batch_dirs, command, side):
+        pred_dir, gt_dir = batch_dirs
+        base = pred_dir if side == "pred" else gt_dir
+        (base / "case31.nrrd").write_text("NRRD0004\n")
+        res = run_cli(command, "--pred-dir", str(pred_dir), "--gt-dir", str(gt_dir))
+        assert res.returncode == 0, res.stderr
+        by_stem = {e["stem"]: e for e in json.loads(res.stdout)["results"]}
+        assert by_stem["case31"] == {
+            "stem": "case31", "error_kind": "io",
+            "error": f"files share one stem: {base / 'case31.json'}, {base / 'case31.nrrd'}"}
+        assert "error" not in by_stem["case32"]
+        assert sorted(by_stem) == ["broken", "case31", "case32", "orphan"]
+
     @pytest.mark.parametrize("command", ["seg-eval", "tasl"])
     def test_bad_header_fails_only_its_entry(self, batch_dirs, command):
         pred_dir, gt_dir = batch_dirs
@@ -398,12 +434,18 @@ class TestBatchMode:
 
 def test_import_loads_no_scipy_or_thread_pool():
     """CLI start-up dominates a short batch, so importing the CLI loads
-    neither scipy nor concurrent.futures."""
+    neither scipy nor concurrent.futures, nor the modules only other
+    commands use."""
     res = subprocess.run([sys.executable, "-c", "import sys, skeltop.cli; print(*sorted(m for m in "
                           "sys.modules if m.split('.')[0] in ('scipy', 'concurrent')))"],
                          capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout == "\n"
+    res = subprocess.run([sys.executable, "-c", "import sys, skeltop.cli; "
+                          "print(*sorted(m for m in sys.modules if m.startswith('skeltop.')))"],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert not set(res.stdout.split()) & set(UNUSED_BY_TASL), res.stdout
 
 
 class TestDeterminism:
