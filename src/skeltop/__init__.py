@@ -27,7 +27,7 @@ _EXPORTS = {
     "swc": "Morphology SwcRecord load_swc parse_swc resample save_swc write_swc",
     "synth": "SynthSpec generate_tree rasterize",
     "tracemetrics": "TraceReport dsa esa evaluate_trace pds",
-    "volume": "BINARY PROBABILITY Volume3D read_volume surface_voxels threshold write_volume",
+    "volume": "BINARY PROBABILITY Volume3D read_volume threshold write_volume",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 _SUBMODULES = {*_EXPORTS, "rawjson", "spatial", "thinning"}

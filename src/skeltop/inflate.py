@@ -19,6 +19,8 @@ import numpy as np
 from . import rawjson
 from .errors import ParseError, ValidationError
 
+MAX_KERNEL_VALUES = 10 ** 8  # larger inflated kernels are refused rather than attempted
+
 
 @dataclass(frozen=True)
 class _Kernel:
@@ -64,8 +66,9 @@ class Kernel3D(_Kernel):
 
 def inflate_center(k: Kernel2D, k_d: int) -> Kernel3D:
     """Place the 2D kernel at depth slice floor(k_d / 2); zeros elsewhere."""
-    if k_d < 1:
-        raise ValidationError(f"kernel depth must be >= 1, got {k_d}")
+    if not 1 <= k_d <= MAX_KERNEL_VALUES // k.weights.size:
+        raise ValidationError(f"kernel depth must be >= 1 and give at most {MAX_KERNEL_VALUES} "
+                              f"kernel values, got {k_d}")
     co, ci, kh, kw = k.shape
     out = np.zeros((co, ci, k_d, kh, kw), dtype=np.float64)
     out[:, :, k_d // 2, :, :] = k.weights
@@ -74,8 +77,9 @@ def inflate_center(k: Kernel2D, k_d: int) -> Kernel3D:
 
 def inflate_average(k: Kernel2D, k_d: int) -> Kernel3D:
     """Replicate the 2D kernel over every depth slice, scaled by 1 / k_d."""
-    if k_d < 1:
-        raise ValidationError(f"kernel depth must be >= 1, got {k_d}")
+    if not 1 <= k_d <= MAX_KERNEL_VALUES // k.weights.size:
+        raise ValidationError(f"kernel depth must be >= 1 and give at most {MAX_KERNEL_VALUES} "
+                              f"kernel values, got {k_d}")
     sliced = k.weights[:, :, None, :, :] / float(k_d)
     return Kernel3D(np.repeat(sliced, k_d, axis=2))
 

@@ -78,9 +78,6 @@ class SkeletonGraph:
     def is_empty(self):
         return len(self.nodes) == 0
 
-    def edge_set(self):
-        return {(int(i), int(j)) for i, j in self.edges}
-
     def to_json_obj(self):
         return {
             "nodes": [[int(c) for c in row] for row in self.nodes],
@@ -88,17 +85,10 @@ class SkeletonGraph:
             "r": float(self.radius_r),
         }
 
-    @classmethod
-    def from_json_obj(cls, obj):
-        return cls(np.array(obj["nodes"], dtype=np.int64).reshape(-1, 3),
-                   np.array(obj["edges"], dtype=np.int64).reshape(-1, 2),
-                   float(obj["r"]))
-
 
 def _skeleton_nodes(skel: Volume3D) -> np.ndarray:
     check_binary(skel, "graph construction")
-    flat = np.flatnonzero(skel.data)  # ascending flat index is argwhere order
-    return np.stack(np.unravel_index(flat, skel.dims), axis=1).astype(np.int64)
+    return np.argwhere(skel.data)
 
 
 def graph_from_skeleton(skel: Volume3D, r: float = DEFAULT_RADIUS) -> SkeletonGraph:

@@ -51,12 +51,9 @@ class Morphology:
         return np.array([r.position() for r in self.records],
                         dtype=np.float64).reshape(-1, 3)
 
-    def by_id(self):
-        return {r.id: r for r in self.records}
-
     def segments(self):
         """(parent_record, child_record) pairs in child id order."""
-        table = self.by_id()
+        table = {r.id: r for r in self.records}
         return [(table[r.parent], r) for r in self.records if r.parent != -1]
 
     def total_length(self) -> float:

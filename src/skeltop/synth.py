@@ -22,6 +22,7 @@ STREAM_TREE = 1
 STREAM_NOISE = 2
 
 _MAX_DIRECTION_TRIES = 64
+MAX_VOXELS = 512 ** 3  # specs with more voxels are refused rather than attempted
 
 
 @dataclass(frozen=True)
@@ -45,8 +46,9 @@ class SynthSpec:
             object.__setattr__(self, name, value)
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
-        if min(self.dims) < 1:
-            raise ValidationError(f"dims must be 3 positive integers, got {self.dims!r}")
+        if min(self.dims) < 1 or math.prod(self.dims) > MAX_VOXELS:
+            raise ValidationError(f"dims must be 3 positive integers with at most {MAX_VOXELS} "
+                                  f"voxels in all, got {self.dims!r}")
         lo, hi = self.segment_length
         if not (0 < lo <= hi):
             raise ValidationError(f"segment_length must satisfy 0 < min <= max, got {self.segment_length!r}")
@@ -91,12 +93,11 @@ def _rng(seed, stream):
 
 
 def _unit_sphere(rng):
-    v = rng.normal(size=3)
-    n = float(np.sqrt((v ** 2).sum()))
-    while n < 1e-12:
+    while True:
         v = rng.normal(size=3)
         n = float(np.sqrt((v ** 2).sum()))
-    return v / n
+        if n >= 1e-12:
+            return v / n
 
 
 def _cap_direction(rng, axis, cos_min):
@@ -122,48 +123,39 @@ def generate_tree(spec: SynthSpec) -> Morphology:
         raise GenerationError(
             f"dims {spec.dims} leave no interior for margin {margin:.2f}")
 
-    positions = {}
-    directions = {}
-    children = {}
+    positions = []  # node id - 1 indexes these and records
+    directions = []
     records = []
 
     def add_node(pos, direction, parent_id, type_code):
         node_id = len(records) + 1
         records.append(SwcRecord(node_id, type_code, float(pos[0]), float(pos[1]),
                                  float(pos[2]), spec.tube_radius, parent_id))
-        positions[node_id] = np.asarray(pos, dtype=np.float64)
-        directions[node_id] = direction
-        children[node_id] = []
-        if parent_id != -1:
-            children[parent_id].append(node_id)
+        positions.append(np.asarray(pos, dtype=np.float64))
+        directions.append(direction)
         return node_id
 
-    def grow_path(start_id, direction, n_segments, type_code):
-        current = start_id
+    def grow_path(current, direction, n_segments, type_code):
         for _ in range(n_segments):
-            pos = positions[current]
+            pos = positions[current - 1]
             step = rng.uniform(*spec.segment_length)
             d_try = direction
-            placed = False
             for attempt in range(_MAX_DIRECTION_TRIES):
                 nxt = pos + step * d_try
                 if (nxt >= lo).all() and (nxt <= hi).all():
-                    placed = True
                     break
                 if attempt < _MAX_DIRECTION_TRIES // 2:
                     d_try = _cap_direction(rng, direction, 0.7)
                 else:
-                    center = 0.5 * (lo + hi)
-                    inward = center - pos
+                    inward = 0.5 * (lo + hi) - pos
                     inward /= max(1e-12, float(np.sqrt((inward ** 2).sum())))
                     d_try = _cap_direction(rng, inward, 0.8)
-            if not placed:
+            else:
                 raise GenerationError(
                     f"could not keep the tree inside dims {spec.dims}; "
                     "enlarge dims or shorten segments")
             current = add_node(nxt, d_try, current, type_code)
             direction = _cap_direction(rng, d_try, 0.9)
-        return current
 
     root_pos = lo + rng.uniform(size=3) * (hi - lo)
     root_dir = _unit_sphere(rng)
@@ -171,9 +163,9 @@ def generate_tree(spec: SynthSpec) -> Morphology:
     grow_path(root_id, root_dir, int(rng.integers(4, 7)), type_code=3)
 
     for _ in range(spec.n_branch_points):
-        interior = sorted(nid for nid, kids in children.items() if kids)
+        interior = sorted({r.parent for r in records if r.parent != -1})
         attach = int(rng.choice(interior))
-        branch_dir = _cap_direction(rng, directions[attach], 0.2)
+        branch_dir = _cap_direction(rng, directions[attach - 1], 0.2)
         grow_path(attach, branch_dir, int(rng.integers(2, 5)), type_code=3)
 
     return Morphology(tuple(records))
@@ -187,8 +179,6 @@ def _stamp_capsule(mask, pa, pb, radius):
     x1 = min(hi[0], w - 1)
     y1 = min(hi[1], h - 1)
     z1 = min(hi[2], d - 1)
-    if x0 > x1 or y0 > y1 or z0 > z1:
-        return
     zz, yy, xx = np.meshgrid(np.arange(z0, z1 + 1), np.arange(y0, y1 + 1),
                              np.arange(x0, x1 + 1), indexing="ij")
     pts = np.stack((xx, yy, zz), axis=-1).astype(np.float64)
@@ -212,9 +202,8 @@ def rasterize(m: Morphology, spec: SynthSpec):
     bounds = np.array([w, h, d], dtype=np.float64) - 1
     mask = np.zeros(spec.dims, dtype=bool)
     positions = m.node_positions()
-    if len(positions):
-        if (positions < 0).any() or (positions > bounds).any():
-            raise ValidationError("morphology does not fit inside the volume dims")
+    if (positions < 0).any() or (positions > bounds).any():
+        raise ValidationError("morphology does not fit inside the volume dims")
     for parent, child in m.segments():
         _stamp_capsule(mask, np.array(parent.position()), np.array(child.position()),
                        spec.tube_radius)

@@ -46,7 +46,7 @@ class Volume3D:
         if min(arr.shape) < 1:
             raise ValidationError(f"volume dims must be positive, got {arr.shape}")
         sp = tuple(float(s) for s in self.spacing)
-        if len(sp) != 3 or any(s <= 0 for s in sp):
+        if len(sp) != 3 or any(not 0 < s < np.inf for s in sp):  # NaN fails too
             raise ValidationError(f"spacing must be 3 positive reals, got {self.spacing!r}")
         arr = np.asarray(arr, dtype=_KIND_DTYPE[self.kind])
         if self.kind == PROBABILITY:
@@ -68,12 +68,6 @@ class Volume3D:
 
     def foreground_count(self):
         return int(np.count_nonzero(self.data))
-
-    def as_probability(self):
-        """Reinterpret a binary mask as a probability volume (values 0.0/1.0)."""
-        if self.kind == PROBABILITY:
-            return self
-        return Volume3D(self.data, PROBABILITY, self.spacing)
 
     def bool_data(self):
         return self.data.astype(bool)
@@ -123,11 +117,6 @@ def surface_voxel_array(mask: Volume3D) -> np.ndarray:
         exposed |= ~flat[fg + offset]
     z, y, x = np.unravel_index(fg[exposed], padded.shape)
     return np.stack((z - 1, y - 1, x - 1), axis=1)
-
-
-def surface_voxels(mask: Volume3D) -> set:
-    """Set of (z, y, x) tuples forming the 6-connectivity surface of the mask."""
-    return {tuple(int(c) for c in row) for row in surface_voxel_array(mask)}
 
 
 # ---------------------------------------------------------------------------

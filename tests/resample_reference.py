@@ -18,7 +18,7 @@ def resample(m: Morphology, step: float) -> Morphology:
     check_positive_finite("resample step", step)
     if m.is_empty():
         return m
-    table = m.by_id()
+    table = {r.id: r for r in m.records}
     children = {r.id: [] for r in m.records}
     roots = []
     for r in m.records:

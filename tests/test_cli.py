@@ -270,6 +270,26 @@ class TestCommands:
         assert_one_line_error(res)
 
 
+    def test_synth_oversized_dims_exit2(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"seed": 1, "dims": [100000, 100000, 100000]}))
+        res = run_cli("synth", "--spec", str(path), "--out-prefix", str(tmp_path / "fix"))
+        assert_one_line_error(res)
+        assert "voxels" in res.stderr
+        assert not list(tmp_path.glob("fix*"))
+
+    @pytest.mark.parametrize("mode", ["center", "average", "verify"])
+    def test_inflate_oversized_depth_exit2(self, workdir, tmp_path, mode):
+        tensor, out = tmp_path / "k2d.json", tmp_path / "k3d.json"
+        write_tensor(np.ones((1, 1, 3, 3)), str(tensor))
+        args = (["verify", "--volume", str(workdir / "pred.json")] if mode == "verify"
+                else ["--mode", mode, "--out", str(out)])
+        res = run_cli("inflate", *args, "--kernel", str(tensor), "--kd", "1000000000000")
+        assert_one_line_error(res)
+        assert "kernel values" in res.stderr
+        assert not out.exists()
+
+
 class TestBatchMode:
     @pytest.fixture()
     def batch_dirs(self, workdir, tmp_path):

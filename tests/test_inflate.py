@@ -112,6 +112,10 @@ class TestInflateAverage:
         for t in range(4):
             assert np.allclose(out.weights[:, :, t], k.weights / 4.0, rtol=0, atol=0)
 
+    def test_invalid_depth(self):
+        with pytest.raises(ValidationError, match="kernel depth must be >= 1"):
+            inflate_average(rand_kernel(4), 0)
+
     def test_depth_sum_recovers_kernel(self):
         k = rand_kernel(7)
         for kd in (2, 3, 4, 5):
@@ -163,6 +167,31 @@ class TestConv:
     def test_channel_mismatch(self):
         with pytest.raises(ValidationError):
             conv2d(np.zeros((3, 5, 5)), rand_kernel(15, ci=2))
+
+
+    def test_conv3d_input_checks(self):
+        k3 = inflate_center(rand_kernel(18, ci=2), 3)
+        with pytest.raises(ValidationError, match=r"conv3d input must be \(c_in, D, H, W\)"):
+            conv3d(np.zeros((2, 5, 5)), k3)
+        with pytest.raises(ValidationError, match=r"strides must be >= 1, got \(1, 0, 1\)"):
+            conv3d(np.zeros((2, 5, 5, 5)), k3, (1, 0, 1))
+        with pytest.raises(ValidationError, match="zero-size conv3d output"):
+            conv3d(np.zeros((2, 0, 5, 5)), k3)
+
+
+class TestInflationSizeCap:
+    @pytest.mark.parametrize("inflate", [inflate_center, inflate_average])
+    def test_depth_past_the_value_cap_is_refused(self, inflate, monkeypatch):
+        k = rand_kernel(19)  # 3 * 2 * 3 * 3 = 54 values
+        monkeypatch.setattr("skeltop.inflate.MAX_KERNEL_VALUES", 54 * 4)
+        assert inflate(k, 4).shape == (3, 2, 4, 3, 3)
+        with pytest.raises(ValidationError, match="at most 216 kernel values, got 5"):
+            inflate(k, 5)
+
+    @pytest.mark.parametrize("inflate", [inflate_center, inflate_average])
+    def test_huge_depth_is_refused_before_allocating(self, inflate):
+        with pytest.raises(ValidationError, match="kernel values, got 1000000000000"):
+            inflate(rand_kernel(20), 10 ** 12)
 
 
 class TestEquivalence:
@@ -290,6 +319,13 @@ class TestTensorIO:
         path = tmp_path / "k.json"
         path.write_text('{"shape": [2, 0], "dtype": "f32", "data_file": "k.bin"}')
         with pytest.raises(ParseError, match="shape"):
+            read_tensor(str(path))
+
+    def test_dtype_other_than_f32(self, tmp_path):
+        path = tmp_path / "k.json"
+        path.write_text('{"shape": [2, 2], "dtype": "u8", "data_file": "k.bin"}')
+        (tmp_path / "k.bin").write_bytes(b"\x00" * 4)
+        with pytest.raises(ParseError, match="field 'dtype' must be 'f32', got 'u8'"):
             read_tensor(str(path))
 
     def test_wrong_rank_for_kernel(self, tmp_path):

@@ -23,7 +23,7 @@ class TestDiceLoss:
         m = np.zeros((4, 4, 4))
         m.ravel()[:10] = 1
         vol = binary(m)
-        assert dice_loss(vol.as_probability(), vol) <= 1e-9
+        assert dice_loss(prob(vol.data), vol) <= 1e-9
 
     def test_closed_form_half(self):
         n = (4, 5, 5)
@@ -59,8 +59,8 @@ class TestDiceLoss:
         rng = np.random.default_rng(seed)
         a = binary(rng.random((4, 4, 4)) < 0.5)
         b = binary(rng.random((4, 4, 4)) < 0.5)
-        assert dice_loss(a.as_probability(), b) == pytest.approx(
-            dice_loss(b.as_probability(), a), abs=1e-12)
+        assert dice_loss(prob(a.data), b) == pytest.approx(
+            dice_loss(prob(b.data), a), abs=1e-12)
 
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=25, deadline=None)
@@ -157,7 +157,7 @@ class TestCeBinaryForm:
         soft = prob(rng.random((6, 7, 8)).astype("<f4"))
         assert ce_loss(p, soft) == two_log_ce(p, soft)
         hard = binary(rng.random((6, 7, 8)) < 0.4)
-        assert ce_loss(p, hard.as_probability()) == ce_loss(p, hard)
+        assert ce_loss(p, prob(hard.data)) == ce_loss(p, hard)
 
 
 class TestTotalLoss:
@@ -207,6 +207,15 @@ class TestDefaults:
         assert sum(w) == pytest.approx(1.0, abs=1e-12)
         assert w[0] == pytest.approx(2 * w[1], abs=1e-12)
         assert w[1] == pytest.approx(2 * w[2], abs=1e-12)
+
+    @pytest.mark.parametrize("beta", [float("nan"), float("inf"), float("-inf")])
+    def test_config_rejects_non_finite_beta(self, beta):
+        with pytest.raises(ValidationError, match="scale weights and beta must be finite"):
+            DeepSupervisionConfig(scale_weights=(1.0,), beta=beta)
+
+    def test_no_scales_rejected(self):
+        with pytest.raises(ValidationError, match="need at least one scale, got 0"):
+            default_scale_weights(0)
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):
@@ -273,5 +282,6 @@ class TestDiceBinaryForm:
         assert np.count_nonzero(soft.data) != float(np.sum(soft.data.astype(np.float64) ** 2))
         assert dice_loss(p, soft) == float64_dice(p, soft)
         hard = binary(rng.random((6, 7, 8)) < 0.4)
-        assert dice_loss(p, hard.as_probability()) == float64_dice(p, hard.as_probability())
-        assert dice_loss(p, hard.as_probability()) == dice_loss(p, hard)
+        hard_prob = prob(hard.data)
+        assert dice_loss(p, hard_prob) == float64_dice(p, hard_prob)
+        assert dice_loss(p, hard_prob) == dice_loss(p, hard)

@@ -20,8 +20,8 @@ PUBLIC = """
     evaluate_trace generate_tree graph_from_skeleton graph_from_skeleton_bruteforce hd95
     inflate_average inflate_center load_swc mean_component_size nearest_rank_percentile
     node_discrepancy parse_swc path_discrepancy pds precision_recall_f1 rasterize
-    read_tensor read_volume resample save_swc skeleton_loss skeletonize surface_voxels
-    threshold total_loss write_swc write_tensor write_volume
+    read_tensor read_volume resample save_swc skeleton_loss skeletonize threshold
+    total_loss write_swc write_tensor write_volume
 """.split()
 
 
@@ -110,6 +110,16 @@ def test_import_loads_only_what_skeleton_loss_needs():
     assert out.split() == ["skeltop.errors", "skeltop.rawjson", "skeltop.skeleton",
                            "skeltop.skeleton_loss", "skeltop.spatial", "skeltop.thinning",
                            "skeltop.volume"]
+
+
+def test_dir_lists_every_public_name():
+    out = run_python("""
+        import skeltop
+        missing = set(skeltop.__all__) - set(dir(skeltop))
+        assert not missing, missing
+        print("ok")
+    """)
+    assert out == "ok\n"
 
 
 def test_resolved_names_are_cached_in_the_package():

@@ -120,6 +120,10 @@ class TestNearestRankPercentile:
         assert nearest_rank_percentile(np.array([1.0, 2.0, 3.0]), 1.0) == 3.0
 
 
+    def test_empty_sample_is_undefined(self):
+        with pytest.raises(UndefinedMetricError, match="percentile of an empty sample"):
+            nearest_rank_percentile(np.array([]), 0.95)
+
     @pytest.mark.parametrize("q", [-1.0, -1e-300, np.nan, np.inf, -np.inf])
     def test_rejects_negative_or_non_finite_q(self, q):
         with pytest.raises(ValidationError, match="finite and >= 0"):
@@ -127,6 +131,12 @@ class TestNearestRankPercentile:
 
 
 class TestHd95:
+    def test_unknown_mode_rejected(self):
+        m = np.zeros((3, 3, 3))
+        m[1, 1, 1] = 1
+        with pytest.raises(ValidationError, match="mode must be 'directed' or 'symmetric', got 'both'"):
+            hd95(binary(m), binary(m), "both")
+
     def test_identical(self):
         m = np.zeros((5, 5, 5))
         m[1:4, 1:4, 1:4] = 1

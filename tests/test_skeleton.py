@@ -27,6 +27,10 @@ def brute_pairs(points, r):
     return out
 
 
+def edge_set(g):
+    return set(map(tuple, g.edges.tolist()))
+
+
 def assert_same_graph(vol, r):
     fast = graph_from_skeleton(vol, r)
     slow = graph_from_skeleton_bruteforce(vol, r)
@@ -112,7 +116,7 @@ class TestGraphFromSkeleton:
         m[0, 0, :] = 1
         g = graph_from_skeleton(binary_volume(m), 2.0)
         assert g.n_nodes == 3
-        assert g.edge_set() == {(0, 1), (0, 2), (1, 2)}
+        assert edge_set(g) == {(0, 1), (0, 2), (1, 2)}
 
     def test_distance_three_no_edge(self):
         m = np.zeros((1, 1, 4))
@@ -132,7 +136,7 @@ class TestGraphFromSkeleton:
         dist = {(i, j): np.linalg.norm(g.nodes[i] - g.nodes[j])
                 for i in range(4) for j in range(i + 1, 4)}
         expected = {pair for pair, d in dist.items() if d <= 2.0}
-        assert g.edge_set() == expected
+        assert edge_set(g) == expected
 
     def test_empty_skeleton(self):
         g = graph_from_skeleton(binary_volume(np.zeros((3, 3, 3))), 2.0)
@@ -151,13 +155,13 @@ class TestGraphFromSkeleton:
         vol = random_voxel_volume(seed, n, dims=(16, 16, 16))
         fast = graph_from_skeleton(vol, 2.0)
         slow = graph_from_skeleton_bruteforce(vol, 2.0)
-        assert fast.edge_set() == slow.edge_set()
+        assert edge_set(fast) == edge_set(slow)
 
     def test_pairs_small_known(self):
         m = np.zeros((1, 1, 6))
         m[0, 0, [0, 1, 2, 5]] = 1
         g = graph_from_skeleton(binary_volume(m), 2.0)
-        assert g.edge_set() == {(0, 1), (0, 2), (1, 2)}
+        assert edge_set(g) == {(0, 1), (0, 2), (1, 2)}
 
     def test_pairs_sorted_output(self):
         g = graph_from_skeleton(random_voxel_volume(5, 80, dims=(10, 10, 10)), 2.0)
@@ -169,7 +173,7 @@ class TestGraphFromSkeleton:
     @settings(max_examples=40, deadline=None)
     def test_pairs_match_bruteforce(self, seed, n, r):
         g = graph_from_skeleton(random_voxel_volume(seed, n, dims=(12, 12, 12)), r)
-        assert g.edge_set() == brute_pairs(g.nodes, r)
+        assert edge_set(g) == brute_pairs(g.nodes, r)
 
     @given(dims=st.tuples(*[st.integers(1, 16)] * 3), seed=st.integers(0, 2 ** 31 - 1),
            n=st.integers(0, 600), r=st.floats(0.5, 4.0))
@@ -230,6 +234,11 @@ class TestGraphFromSkeleton:
 
 
 class TestSkeletonGraphValidation:
+    @pytest.mark.parametrize("edge", [[0, 2], [-1, 1]])
+    def test_rejects_edge_endpoint_out_of_range(self, edge):
+        with pytest.raises(ValidationError, match="edge endpoint id out of range"):
+            SkeletonGraph(np.array([[0, 0, 0], [0, 0, 1]]), np.array([edge]), 2.0)
+
     def test_rejects_self_loop(self):
         with pytest.raises(ValidationError):
             SkeletonGraph(np.array([[0, 0, 0], [0, 0, 1]]), np.array([[0, 0]]), 2.0)
@@ -251,7 +260,8 @@ class TestSkeletonGraphValidation:
     def test_json_round_trip(self):
         g = SkeletonGraph(np.array([[0, 0, 0], [0, 0, 2], [5, 5, 5]]),
                           np.array([[0, 1]]), 2.0)
-        back = SkeletonGraph.from_json_obj(g.to_json_obj())
+        obj = g.to_json_obj()
+        back = SkeletonGraph(np.array(obj["nodes"]), np.array(obj["edges"]), obj["r"])
         assert np.array_equal(back.nodes, g.nodes)
         assert np.array_equal(back.edges, g.edges)
         assert back.radius_r == g.radius_r

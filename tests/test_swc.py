@@ -87,6 +87,11 @@ class TestParse:
         m = parse_swc("2 3 1 0 0 1 1\n1 1 0 0 0 1 -1\n")
         assert [r.id for r in m.records] == [1, 2]
 
+    def test_parent_below_minus_one_message_and_line(self):
+        with pytest.raises(ParseError) as exc:
+            parse_swc("1 1 0 0 0 1 -1\n# note\n2 3 1 0 0 1 -2\n")
+        assert str(exc.value) == "line 3: parent must be -1 or a record id, got -2"
+
     @pytest.mark.parametrize("text,message", [
         ("# header\n5 1 0 0 0 1 -1\n3 3 1 0 0 1 4\n4 3 2 0 0 1 3\n",
          "line 3: parent chain of id 3 contains a cycle"),

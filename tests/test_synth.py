@@ -4,7 +4,7 @@ import pytest
 from skeltop import (GenerationError, ValidationError, parse_swc, pds,
                      skeleton_loss, threshold, write_swc)
 from skeltop.segmetrics import precision_recall_f1
-from skeltop.swc import Morphology
+from skeltop.swc import Morphology, SwcRecord
 from skeltop.synth import SynthSpec, generate_tree, rasterize
 
 from conftest import count_components_26
@@ -71,6 +71,31 @@ class TestGenerateTree:
             with pytest.raises(ValidationError):
                 SynthSpec(**bad)
 
+    @pytest.mark.parametrize("kw, message", [
+        (dict(seed=-1), "seed must be >= 0, got -1"),
+        (dict(dims=(8, 0, 8)), r"dims must be 3 positive integers .*got \(8, 0, 8\)"),
+        (dict(noise_sigma=-0.1), "noise_sigma and blur_sigma must be non-negative"),
+        (dict(blur_sigma=-0.1), "noise_sigma and blur_sigma must be non-negative"),
+    ])
+    def test_spec_validation_messages(self, kw, message):
+        with pytest.raises(ValidationError, match=message):
+            SynthSpec(**{"seed": 0, **kw})
+
+    def test_voxel_cap(self, monkeypatch):
+        monkeypatch.setattr("skeltop.synth.MAX_VOXELS", 1000)
+        assert SynthSpec(seed=0, dims=(10, 10, 10)).dims == (10, 10, 10)
+        with pytest.raises(ValidationError, match="at most 1000 voxels"):
+            SynthSpec(seed=0, dims=(10, 10, 11))
+
+    def test_huge_dims_are_refused_before_allocating(self):
+        with pytest.raises(ValidationError, match="voxels in all"):
+            SynthSpec(seed=0, dims=(100000, 100000, 100000))
+
+    def test_segments_longer_than_the_interior(self):
+        spec = SynthSpec(seed=0, dims=(8, 8, 8), segment_length=(10.0, 10.0))
+        with pytest.raises(GenerationError, match=r"could not keep the tree inside dims \(8, 8, 8\)"):
+            generate_tree(spec)
+
     def test_numpy_numbers_pass_booleans_do_not(self):
         spec = SynthSpec(seed=np.int64(3), dims=np.array([8, 9, 10]),
                          segment_length=(np.float32(2.0), 3), tube_radius=np.float64(1.5))
@@ -83,6 +108,15 @@ class TestGenerateTree:
 
 
 class TestRasterize:
+    def test_zero_length_segment_stamps_a_ball(self):
+        spec = SynthSpec(seed=0, dims=(9, 9, 9), tube_radius=2.0)
+        x, y, z = 4.3, 3.6, 4.1
+        tree = Morphology((SwcRecord(1, 1, x, y, z, 2.0, -1), SwcRecord(2, 3, x, y, z, 2.0, 1)))
+        mask, _ = rasterize(tree, spec)
+        zz, yy, xx = np.mgrid[0:9, 0:9, 0:9]
+        ball = (xx - x) ** 2 + (yy - y) ** 2 + (zz - z) ** 2 <= 4.0
+        assert ball.sum() > 1 and np.array_equal(mask.bool_data(), ball)
+
     def test_single_component(self):
         spec = corpus_spec(10)
         mask, _ = rasterize(generate_tree(spec), spec)

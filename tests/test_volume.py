@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skeltop import (BINARY, PROBABILITY, ParseError, ValidationError,
-                     Volume3D, read_volume, surface_voxels, threshold,
-                     write_volume)
+                     Volume3D, read_volume, threshold, write_volume)
 from skeltop.volume import surface_voxel_array
 
 from conftest import brute_surface_voxels
@@ -28,6 +27,11 @@ def slice_surface_voxel_array(m):
         hi[axis] = slice(2, None)
         interior &= padded[tuple(lo)] & padded[tuple(hi)]
     return np.argwhere(m & ~interior)
+
+
+def surface_voxels(vol):
+    """The surface as a set of (z, y, x) tuples, for comparison with brute force."""
+    return {tuple(int(c) for c in row) for row in surface_voxel_array(vol)}
 
 
 def assert_surface_matches_reference(m):
@@ -57,6 +61,14 @@ class TestVolume3D:
             Volume3D(np.zeros((2, 2, 2), dtype="u1"), BINARY, spacing=(0, 1, 1))
         with pytest.raises(ValidationError):
             Volume3D(np.zeros((2, 2, 2), dtype="u1"), "labels")
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_spacing_rejected(self, axis, bad):
+        spacing = [1.0, 1.0, 1.0]
+        spacing[axis] = bad
+        with pytest.raises(ValidationError, match="spacing must be 3 positive reals"):
+            Volume3D(np.zeros((2, 2, 2), dtype="u1"), BINARY, tuple(spacing))
 
     @pytest.mark.parametrize("bad", [2, 7, 128, 255])
     def test_binary_values_above_one_rejected(self, bad):
@@ -123,7 +135,8 @@ class TestVolume3D:
         assert not vol.data.flags.writeable and vol.data.flags.c_contiguous
         with pytest.raises(ValueError):
             vol.data[0, 0, 0] = 1
-        for derived in (threshold(vol.as_probability(), 0.5), vol.as_probability()):
+        as_prob = Volume3D(vol.data, PROBABILITY, vol.spacing)
+        for derived in (threshold(as_prob, 0.5), as_prob):
             assert not derived.data.flags.writeable
 
 
@@ -157,7 +170,7 @@ class TestThreshold:
         rng = np.random.default_rng(seed)
         vol = prob_volume(rng.random((4, 5, 3)).astype("<f4"))
         once = threshold(vol, tau)
-        twice = threshold(once.as_probability(), tau)
+        twice = threshold(Volume3D(once.data, PROBABILITY, once.spacing), tau)
         assert np.array_equal(once.data, twice.data)
 
     @given(st.integers(0, 2 ** 31 - 1), st.floats(0.05, 0.9), st.floats(0.05, 0.9))
