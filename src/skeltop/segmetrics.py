@@ -58,14 +58,12 @@ def _surface_points(vol: Volume3D, use_spacing: bool) -> np.ndarray:
 
 def _hd95_values(pred: Volume3D, gt: Volume3D, use_spacing: bool, symmetric: bool):
     """(directed HD95, symmetric HD95 or None), each surface in its own
-    volume's spacing when `use_spacing`; one NN query unless `symmetric`."""
-    pred_surface = _surface_points(pred, use_spacing)
-    gt_surface = _surface_points(gt, use_spacing)
-    directed = nearest_rank_percentile(spatial.min_dists_to_set(pred_surface, gt_surface), 0.95)
+    volume's spacing when `use_spacing`; one two-way NN query if `symmetric`."""
+    surfaces = _surface_points(pred, use_spacing), _surface_points(gt, use_spacing)
     if not symmetric:
-        return directed, None
-    reverse = nearest_rank_percentile(spatial.min_dists_to_set(gt_surface, pred_surface), 0.95)
-    return directed, max(directed, reverse)
+        return nearest_rank_percentile(spatial.min_dists_to_set(*surfaces), 0.95), None
+    fwd, bwd = (nearest_rank_percentile(d, 0.95) for d in spatial._min_dists_both(*surfaces))
+    return fwd, max(fwd, bwd)
 
 
 def hd95(pred: Volume3D, gt: Volume3D, mode: str = DIRECTED,

@@ -68,9 +68,8 @@ def node_discrepancy(g_pred: SkeletonGraph, g_gt: SkeletonGraph) -> float:
     """Symmetric mean nearest-neighbor distance between the node sets."""
     if g_pred.is_empty() or g_gt.is_empty():
         raise EmptyGraphError("node discrepancy is undefined for empty graphs")
-    fwd = spatial.min_dists_to_set(g_pred.nodes, g_gt.nodes).mean()
-    bwd = spatial.min_dists_to_set(g_gt.nodes, g_pred.nodes).mean()
-    return 0.5 * (float(fwd) + float(bwd))
+    fwd, bwd = spatial._min_dists_both(g_pred.nodes, g_gt.nodes)
+    return 0.5 * (float(fwd.mean()) + float(bwd.mean()))
 
 
 def edge_discrepancy(g_pred: SkeletonGraph, g_gt: SkeletonGraph,

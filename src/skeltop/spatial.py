@@ -1,8 +1,9 @@
 """Exact grid nearest-neighbor queries in numpy alone, for the surface and trace
 metrics and the skeleton node terms. Each distance equals the brute-force minimum
 bit for bit: a pair is skipped only when rounded arithmetic shows it no nearer.
-Integer inputs first settle each query with a target in its 3x3x3 lattice cube by
-exact lookups. Two sets queried both ways share one pass over their nearby pairs.
+Integer inputs first settle each point with a target in its 3x3x3 lattice cube by
+gathers from a z-slab occupancy box. Two sets queried both ways share that stage, or
+one pass over their nearby pairs.
 """
 
 import itertools
@@ -17,6 +18,7 @@ _RUNS = np.array([(dz, dy) for dz in (-1, 0, 1) for dy in (-1, 0, 1)], dtype=np.
 _PAIR_BUDGET = 1 << 14  # elements per chunk of pairs or bounds; keeps temporaries in cache
 _CUBE = np.array(list(itertools.product((-1, 0, 1), repeat=3)), dtype=np.int64)
 _SHELLS = [_CUBE[(_CUBE * _CUBE).sum(1) == d2] for d2 in range(4)]  # offsets by squared length
+_SLAB = 1 << 24  # cells of one occupancy slab of the lattice stage, its two halo planes included
 
 
 def _scan(best, q_cols, t_cols, owner, start, count, t_best=None):
@@ -83,24 +85,38 @@ def _bounded_pass(best, q_cols, t_cols, todo, lo, cell, span):
         _scan(best, q_cols, t_cols, block[row], first[col], count[col])
 
 
-def _lattice(best, q_cols, t_cols, lo, hi):
-    """Set best[i] to the exact squared distance of each query with a target in
-    its 3x3x3 neighbourhood and return the other query indices (all of them when
-    the ids of the padded box would not fit in int64). Coordinates are integers
-    in [lo, hi] per axis, each below 2**53 in magnitude."""
+def _lattice(best, q_cols, t_cols, lo, hi, t_best=None):
+    """Set best[i] (inf on entry) to the exact squared distance of each query with a
+    target in its 3x3x3 cube, and t_best likewise for targets onto queries if given;
+    return the other query indices. Coordinates are integers in [lo, hi] per axis, each
+    below 2**53 in magnitude, and the padded box is walked in z-slabs (see min_dists_to_set)."""
     base = np.array([int(v) - 1 for v in lo.ravel()], dtype=np.int64)[:, None]
     side = [int(h) - int(v) + 2 for h, v in zip(hi.ravel(), base.ravel())]  # Python ints
-    todo = np.arange(q_cols.shape[1])
-    if math.prod(side) >= 2 ** 63:
-        return todo
-    steps = np.array([side[1] * side[2], side[2], 1], dtype=np.int64)
-    qid = steps @ (q_cols.astype(np.int64) - base)
-    tid = np.sort(steps @ (t_cols.astype(np.int64) - base))
-    for d2, shell in enumerate(_SHELLS):  # a target outside the cube is at d2 >= 4
-        probes = qid[todo, None] + shell @ steps
-        hit = (tid.take(np.searchsorted(tid, probes), mode="clip") == probes).any(1)
-        best[todo[hit]], todo = d2, todo[~hit]
-    return todo
+    depth = min(_SLAB // (plane := side[1] * side[2]), side[0])  # planes per slab
+    if depth < 3:
+        return np.arange(q_cols.shape[1])
+    offsets = [shell @ np.array([plane, side[2], 1]) for shell in _SHELLS]
+    pts = []  # per side: plane and in-plane id of each point, sorted by plane, and the order
+    for cols in (q_cols, t_cols):
+        z, y, x = cols.astype(np.int64) - base
+        order = np.argsort(z, kind="stable")
+        pts.append((z[order], (y * side[2] + x)[order], order))
+    probing = list(zip(pts, (best, t_best), (2, 1)))[:1 if t_best is None else 2]
+    done = [0] * len(probing)  # points of each probing side settled or left so far
+    while starts := [int(z[k]) for ((z, _, _), _, _), k in zip(probing, done) if k < len(z)]:
+        p0 = min(starts) - 1
+        box = np.zeros(depth * plane, np.uint8)  # planes p0 .. p0 + depth - 1: bit 1 q, bit 2 t
+        for (z, yx, _), bit in zip(pts, (1, 2)):
+            i, j = np.searchsorted(z, (p0, p0 + depth))
+            box[(z[i:j] - p0) * plane + yx[i:j]] |= bit
+        for n, ((z, yx, order), d, bit) in enumerate(probing):
+            j = np.searchsorted(z, p0 + depth - 1)  # points off the slab's outer planes
+            ids, todo = (z[done[n]:j] - p0) * plane + yx[done[n]:j], np.arange(j - done[n])
+            for d2, off in enumerate(offsets):  # a point outside the cube is at d2 >= 4
+                hit = (box[ids[todo, None] + off] & bit).any(1)
+                d[order[done[n] + todo[hit]]], todo = d2, todo[~hit]
+            done[n] = j
+    return np.flatnonzero(np.isinf(best))
 
 
 def _points(p, what):
@@ -114,8 +130,8 @@ def _points(p, what):
 
 
 def _setup(queries, targets):
-    """Validated inputs, their float64 columns, the low and high corners of their box,
-    the target extent, the span and the first cell (extent / sqrt(n_t), >= span / 2**20)."""
+    """Validated inputs, their float64 columns, the low and high corners of their box, the
+    span, and whether both are integer arrays below 2**53 in magnitude (exact in float64)."""
     queries, targets = _points(queries, "query"), _points(targets, "target")
     q_cols, t_cols = (p.astype(np.float64).T.copy() for p in (queries, targets))
     if not (np.isfinite(q_cols).all() and np.isfinite(t_cols).all()):
@@ -124,9 +140,27 @@ def _setup(queries, targets):
         raise ValidationError("nearest distances need a non-empty target set")
     both = np.concatenate((q_cols, t_cols), axis=1)  # reductions are fast on (3, n)
     lo, hi = both.min(1, keepdims=True), both.max(1, keepdims=True)
-    extent, span = float(np.ptp(t_cols, 1).max()), float((hi - lo).max())
-    cell = max(extent / math.sqrt(len(targets)), span / 2.0 ** 20)
-    return queries, targets, q_cols, t_cols, lo, hi, extent, span, cell
+    lattice = (queries.dtype.kind in "iu" and targets.dtype.kind in "iu"
+               and -2.0 ** 53 < lo.min() and hi.max() < 2.0 ** 53)
+    return queries, targets, q_cols, t_cols, lo, hi, float((hi - lo).max()), lattice
+
+
+def _first_cell(t_cols, span):
+    """The target extent and the first grid cell, extent / sqrt(n_t) and >= span / 2**20."""
+    extent = float(np.ptp(t_cols, 1).max())
+    return extent, max(extent / math.sqrt(t_cols.shape[1]), span / 2.0 ** 20)
+
+
+def _grid(best, q_cols, t_cols, todo, lo, span, extent, cell, lattice):
+    """Lower best[todo] to exact minima by the grid levels from cell, then the bounded
+    pass; after a lattice stage the levels start at the first that can settle d2 = 4."""
+    while lattice and cell * (1.0 - 2.0 ** -20) < 2.0:  # the rest are at d2 >= 4
+        cell *= 2.0
+    far = max(extent / t_cols.shape[1] ** 0.25, cell)
+    while len(todo) and cell <= far:  # coarser levels would span most of a surface
+        todo, cell = _level(best, q_cols, t_cols, todo, lo, cell, span)[0], cell * 2.0
+    if len(todo):
+        _bounded_pass(best, q_cols, t_cols, todo, lo, far, span)
 
 
 @np.errstate(over="ignore")  # separations beyond the float range are inf
@@ -139,48 +173,46 @@ def min_dists_to_set(queries, targets) -> np.ndarray:
     bounded pass over cells of side `far`, about sqrt(n_t) cells on a surface: each
     scans the cell of its nearest tight box, then those within its best so far.
 
-    When both inputs have an integer dtype and every coordinate is below 2**53 in
-    magnitude (so float64 holds it exactly), a lattice stage runs before the grid:
-    each query probes its 3x3x3 neighbourhood among the sorted target ids, in shells
-    of squared distance 0, 1, 2 and 3, and settles at its first hit. Any target
-    outside the cube is at squared distance 4 or more, so that hit is the exact
-    minimum, and its square root is what brute force computes. The rest search the
-    grid from the first doubled cell that can settle one (above 2 after the rounding
-    margin; `far` is at least that cell). A padded bounding box of more than 2**63 - 1
-    voxels skips the stage. Inputs must be (n, 3) arrays of bool, integer or float."""
-    queries, targets, q_cols, t_cols, lo, hi, extent, span, cell = _setup(queries, targets)
-    best, n_q, n_t = np.full(len(queries), np.inf), len(queries), len(targets)
+    When both inputs are integer arrays below 2**53 in magnitude (exact in float64),
+    a lattice stage runs first. The padded bounding box is walked in z-slabs of at most
+    _SLAB cells, each a uint8 occupancy box; each query tests the shells of squared
+    distance 0, 1, 2 and 3 of its 3x3x3 cube, one gather each, and settles at its first
+    hit: any target outside the cube is at d2 >= 4, and the square root of that hit is
+    what brute force computes. The rest search the grid from the first doubled cell that
+    can settle d2 = 4 (`far` is at least that cell). A box whose plane is more than a
+    third of a slab skips the stage. Inputs must be (n, 3) arrays of bool, integer or float."""
+    queries, targets, q_cols, t_cols, lo, hi, span, lattice = _setup(queries, targets)
+    (n_q, n_t), (extent, cell) = (len(queries), len(targets)), _first_cell(t_cols, span)
+    best = np.full(n_q, np.inf)
     if n_q * n_t <= _PAIR_BUDGET or not 0 < cell < span:
         _scan(best, q_cols, t_cols, np.arange(n_q), np.zeros(n_q, np.int64), np.full(n_q, n_t))
         return np.sqrt(best)
-    todo = np.arange(n_q)
-    if (np.issubdtype(queries.dtype, np.integer) and np.issubdtype(targets.dtype, np.integer)
-            and -2.0 ** 53 < lo.min() and hi.max() < 2.0 ** 53):  # exact in float64
-        todo = _lattice(best, q_cols, t_cols, lo, hi)
-        while cell * (1.0 - 2.0 ** -20) < 2.0:  # the rest are at d2 >= 4
-            cell *= 2.0
-    far = max(extent / n_t ** 0.25, cell)
-    while len(todo) and cell <= far:  # coarser levels would span most of a surface
-        todo, cell = _level(best, q_cols, t_cols, todo, lo, cell, span)[0], cell * 2.0
-    if len(todo):
-        _bounded_pass(best, q_cols, t_cols, todo, lo, far, span)
+    todo = _lattice(best, q_cols, t_cols, lo, hi) if lattice else np.arange(n_q)
+    _grid(best, q_cols, t_cols, todo, lo, span, extent, cell, lattice)
     return np.sqrt(best)
 
 
 @np.errstate(over="ignore")
 def _min_dists_both(a, b):
-    """(min_dists_to_set(a, b), min_dists_to_set(b, a)) bit for bit, from one pass
-    over all pairs or over the first grid level of a onto b. The 27-cell relation is
-    symmetric, so a b point whose best is within the cell is exact too, as (t - q)**2
-    == (q - t)**2, summed in the same axis order. The points either side leaves
-    unsettled go through min_dists_to_set."""
-    a, b, a_cols, b_cols, lo, _, _, span, cell = _setup(a, b)
+    """(min_dists_to_set(a, b), min_dists_to_set(b, a)) bit for bit. Integer sets take
+    one two-way lattice stage, and each side's leftovers search the grid in their own
+    direction. Other sets take one pass over all pairs or over the first grid level of
+    a onto b. The 27-cell relation is symmetric, so a b point whose best is within the
+    cell is exact too, as (t - q)**2 == (q - t)**2, summed in the same axis order. The
+    points either side leaves unsettled go through min_dists_to_set."""
+    a, b, a_cols, b_cols, lo, hi, span, lattice = _setup(a, b)
     if len(a) == 0:  # the reverse call fails as min_dists_to_set does
         return min_dists_to_set(a, b), min_dists_to_set(b, a)
-    (n_a, n_b), best_a, best_b = (len(a), len(b)), np.full(len(a), np.inf), np.full(len(b), np.inf)
+    (n_a, n_b), (_, cell) = (len(a), len(b)), _first_cell(b_cols, span)
+    best_a, best_b = np.full(n_a, np.inf), np.full(n_b, np.inf)
     if n_a * n_b <= _PAIR_BUDGET or not 0 < cell < span:
         _scan(best_a, a_cols, b_cols, np.arange(n_a), np.zeros(n_a, np.int64), np.full(n_a, n_b),
               best_b)
+        return np.sqrt(best_a), np.sqrt(best_b)
+    if lattice:  # leftovers are at d2 >= 4, with best inf
+        _lattice(best_a, a_cols, b_cols, lo, hi, best_b)
+        for best, q, t in ((best_a, a_cols, b_cols), (best_b, b_cols, a_cols)):
+            _grid(best, q, t, np.flatnonzero(best > 3), lo, span, *_first_cell(t, span), True)
         return np.sqrt(best_a), np.sqrt(best_b)
     todo_a, bound = _level(best_a, a_cols, b_cols, np.arange(n_a), lo, cell, span, best_b)
     todo_b, d_a, d_b = np.flatnonzero(~(best_b <= bound)), np.sqrt(best_a), np.sqrt(best_b)

@@ -254,22 +254,25 @@ class TestHd95:
         for mode in (DIRECTED, SYMMETRIC):
             lattice.clear()
             assert hd95(p, g, mode, use_spacing=True) == hd95(p, g, mode, use_spacing=False)
-            assert len(lattice) == (1 if mode == DIRECTED else 2)  # voxel units only
+            assert len(lattice) == 1  # voxel units only; symmetric takes one two-way pass
 
     def test_nn_queries_per_call(self, monkeypatch):
         """Directed hd95 makes one nearest-neighbour query; symmetric hd95
-        and evaluate_segmentation make one per direction."""
+        and evaluate_segmentation make one two-way query."""
         calls = []
-        real = spatial.min_dists_to_set
-        monkeypatch.setattr(spatial, "min_dists_to_set",
-                            lambda q, t: calls.append(len(q)) or real(q, t))
+        for name in ("min_dists_to_set", "_min_dists_both"):
+            real = getattr(spatial, name)
+            monkeypatch.setattr(spatial, name, lambda q, t, name=name, real=real:
+                                calls.append((name, len(q), len(t))) or real(q, t))
         m = np.zeros((6, 6, 6))
         m[1:4, 1:4, 1:4] = 1
         n = np.zeros((6, 6, 6))
         n[2:5, 2:5, 1:2] = 1
-        for run, want in ((lambda: hd95(binary(m), binary(n)), [26]),
-                          (lambda: hd95(binary(m), binary(n), SYMMETRIC), [26, 9]),
-                          (lambda: evaluate_segmentation(binary(m), binary(n)), [26, 9])):
+        for run, want in ((lambda: hd95(binary(m), binary(n)), [("min_dists_to_set", 26, 9)]),
+                          (lambda: hd95(binary(m), binary(n), SYMMETRIC),
+                           [("_min_dists_both", 26, 9)]),
+                          (lambda: evaluate_segmentation(binary(m), binary(n)),
+                           [("_min_dists_both", 26, 9)])):
             calls.clear()
             run()
             assert calls == want

@@ -9,7 +9,7 @@ import tasl_reference
 from skeltop import (BINARY, PROBABILITY, EmptyGraphError, SkeletonGraph,
                      SkeletonLossWeights, ValidationError, Volume3D,
                      edge_discrepancy, graph_from_skeleton, node_discrepancy,
-                     path_discrepancy, skeleton_loss, skeletonize, threshold)
+                     path_discrepancy, skeleton_loss, skeletonize, spatial, threshold)
 from skeltop.skeleton_loss import SkeletonLossBreakdown
 from skeltop.swc import Morphology, SwcRecord
 from skeltop.synth import SynthSpec, generate_tree, rasterize
@@ -63,6 +63,27 @@ class TestNodeDiscrepancy:
         a = graph_of(coords[:na], NO_EDGES)
         b = graph_of(coords[na:], NO_EDGES)
         assert node_discrepancy(a, b) == pytest.approx(node_discrepancy(b, a), abs=1e-12)
+
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_two_one_way_calls_bit_for_bit(self, monkeypatch, seed):
+        # skeletons of a tree and of its noisy prediction, past the pair budget,
+        # so one two-way lattice stage runs and speckle is left to the grid
+        spec = SynthSpec(seed=seed, dims=(40, 40, 40), n_branch_points=8,
+                         segment_length=(6.0, 10.0), tube_radius=1.6, noise_sigma=0.2,
+                         blur_sigma=0.8)
+        mask, prob = rasterize(generate_tree(spec), spec)
+        g_gt = graph_from_skeleton(skeletonize(mask))
+        g_pred = graph_from_skeleton(skeletonize(threshold(prob, 0.5)))
+        assert g_pred.n_nodes * g_gt.n_nodes > spatial._PAIR_BUDGET
+        calls, real = [], spatial._lattice
+        monkeypatch.setattr(spatial, "_lattice", lambda *a: calls.append(len(a)) or real(*a))
+        got = node_discrepancy(g_pred, g_gt)
+        assert calls == [6]  # one stage, both directions
+        fwd = spatial.min_dists_to_set(g_pred.nodes, g_gt.nodes)
+        bwd = spatial.min_dists_to_set(g_gt.nodes, g_pred.nodes)
+        assert (fwd >= 2.0).any()  # speckle nodes go on to the grid
+        assert got == 0.5 * (float(fwd.mean()) + float(bwd.mean()))
 
 
 class TestEdgeDiscrepancy:

@@ -555,3 +555,125 @@ def test_lattice_leftovers_at_squared_distance_4_5_8_9_and_beyond_40(monkeypatch
     assert cell * (1.0 - 2.0 ** -20) >= 2.0 and cell / 2.0 * (1.0 - 2.0 ** -20) < 2.0
     for q, t in ((queries.astype(np.int32), targets.astype(np.int32)), (targets, queries)):
         assert np.array_equal(min_dists_to_set(q, t), brute_in_blocks(q, t))
+
+
+def _typed(a, b, dtype):
+    """a and b as dtype; for uint16 their common box is shifted to start at 0."""
+    if dtype == "uint16":
+        low = min(a.min(), b.min())
+        a, b = a - low, b - low
+    return a.astype(dtype), b.astype(dtype)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_both_directions_over_the_lattice_families(data):
+    kind = data.draw(st.sampled_from(sorted(_LATTICE_DTYPES)))
+    dtype = data.draw(st.sampled_from(_LATTICE_DTYPES[kind]))
+    n_a, n_b = (data.draw(st.integers(130, 1200)) for _ in range(2))  # past the pair budget
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 31 - 1)))
+    a, b = _typed(*_lattice_cloud(kind, rng, n_a, n_b), dtype)
+    d_a, d_b = spatial._min_dists_both(a, b)
+    want_a, want_b = _two_calls(a, b)
+    assert np.array_equal(d_a, want_a) and np.array_equal(d_b, want_b)
+    assert np.array_equal(d_a, brute_in_blocks(a, b)) and np.array_equal(d_b, brute_in_blocks(b, a))
+    assert np.array_equal(d_a, nn_reference.min_dists_to_set(a, b))
+    assert np.array_equal(d_b, nn_reference.min_dists_to_set(b, a))
+
+
+def test_both_directions_beyond_float_precision_or_mixed_take_the_float_path(monkeypatch):
+    rng = np.random.default_rng(35)
+    big = rng.integers(0, 40, size=(300, 3)) + 2 ** 60  # 2**60 + 1 reads as 2**60
+    ints = rng.integers(-10, 10, size=(400, 3))
+    floats = ints[::-2] + rng.uniform(-0.6, 0.6, size=(200, 3))
+    left = _spy_results(monkeypatch, "_lattice")
+    for a, b in ((big, big[::-1] + (1, 0, 0)), (ints, floats), (floats, ints)):
+        d_a, d_b = spatial._min_dists_both(a, b)
+        want_a, want_b = _two_calls(a, b)
+        assert np.array_equal(d_a, want_a) and np.array_equal(d_b, want_b)
+        assert np.array_equal(d_a, brute_min_dists(a, b)) and np.array_equal(d_b, brute_min_dists(b, a))
+        assert np.array_equal(d_a, nn_reference.min_dists_to_set(a, b))
+        assert np.array_equal(d_b, nn_reference.min_dists_to_set(b, a))
+    assert left == []
+
+
+class _CountedBoxes:
+    """numpy, recording the size of each uint8 array np.zeros makes: the lattice's slabs."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def zeros(self, shape, dtype=float):
+        if np.dtype(dtype) == np.uint8:
+            self.sizes.append(shape)
+        return np.zeros(shape, dtype)
+
+
+def _slab_points(rng):
+    """Integer sets in a box of 30 z-planes of 10 x 10 (12 x 12 padded): a column with
+    queries on odd and targets on even planes, so that pairs at squared distance 1 meet
+    across every plane edge, plus random points."""
+    column = np.stack((np.arange(30), np.full(30, 5), np.full(30, 5)), 1)
+    queries = np.concatenate((column[1::2], rng.integers(0, 10, size=(300, 3)) * (3, 1, 1)))
+    targets = np.concatenate((column[::2], rng.integers(0, 10, size=(200, 3)) * (3, 1, 1)))
+    return queries, targets
+
+
+@pytest.mark.parametrize("depth, n_slabs", [(32, 1), (20, 2), (3, None)])
+def test_lattice_slabs_one_two_and_many(monkeypatch, depth, n_slabs):
+    # a slab of `depth` planes of 144 cells: the box's 32 padded planes make
+    # one slab, two, or one slab per probing plane
+    monkeypatch.setattr(spatial, "_SLAB", depth * 144)
+    queries, targets = _slab_points(np.random.default_rng(depth))
+    boxes, grids = _CountedBoxes(), _spy(monkeypatch, "_grid")
+    monkeypatch.setattr(spatial, "np", boxes)
+    got = min_dists_to_set(queries, targets)
+    one_way = len(boxes.sizes)
+    d_q, d_t = spatial._min_dists_both(queries, targets)
+    monkeypatch.setattr(spatial, "np", np)
+    assert np.array_equal(got, brute_min_dists(queries, targets)) and np.array_equal(d_q, got)
+    assert np.array_equal(d_t, brute_min_dists(targets, queries))
+    for (_, _, _, todo, *_), d in zip(grids, (got, d_q, d_t)):  # only d2 >= 4 is left over
+        assert np.array_equal(todo, np.flatnonzero(d >= 2.0))
+    assert max(boxes.sizes) <= depth * 144
+    two_way = len(boxes.sizes) - one_way
+    if n_slabs is None:  # one slab per plane holding points of a probing side
+        assert (one_way, two_way) == (len(np.unique(queries[:, 0])), 30)
+    else:
+        assert one_way == two_way == n_slabs
+
+
+@pytest.mark.parametrize("slab", [144 * 3 - 1, 143])
+def test_box_with_a_plane_over_a_third_of_a_slab_skips_the_lattice(monkeypatch, slab):
+    monkeypatch.setattr(spatial, "_SLAB", slab)
+    queries, targets = _slab_points(np.random.default_rng(slab))
+    left, grids = _spy_results(monkeypatch, "_lattice"), _spy(monkeypatch, "_grid")
+    got = min_dists_to_set(queries, targets)
+    d_q, d_t = spatial._min_dists_both(queries, targets)
+    assert np.array_equal(got, brute_min_dists(queries, targets)) and np.array_equal(d_q, got)
+    assert np.array_equal(d_t, brute_min_dists(targets, queries))
+    assert np.array_equal(left[0], np.arange(len(queries)))  # every query goes to the grid
+    for _, q, _, todo, *_ in grids:
+        assert np.array_equal(todo, np.arange(q.shape[1]))
+
+
+@pytest.mark.parametrize("planes, n_slabs", [(256, 1), (257, 2)])
+def test_box_of_one_slab_and_one_plane_more(monkeypatch, planes, n_slabs):
+    # padded sides (planes, 256, 256): exactly _SLAB cells, then one plane more
+    rng = np.random.default_rng(planes)
+    hi = np.array([planes - 3, 253, 253])
+    queries = np.concatenate(([[0, 0, 0], hi], rng.integers(0, hi + 1, size=(400, 3))))
+    targets = np.concatenate((queries[::3] + rng.integers(-1, 2, size=(134, 3)),
+                              rng.integers(0, hi + 1, size=(300, 3))))
+    targets = targets.clip(0, hi)
+    boxes = _CountedBoxes()
+    monkeypatch.setattr(spatial, "np", boxes)
+    got = min_dists_to_set(queries, targets)
+    d_q, d_t = spatial._min_dists_both(queries, targets)
+    monkeypatch.setattr(spatial, "np", np)
+    assert np.array_equal(got, brute_min_dists(queries, targets)) and np.array_equal(d_q, got)
+    assert np.array_equal(d_t, brute_min_dists(targets, queries))
+    assert len(boxes.sizes) == 2 * n_slabs and max(boxes.sizes) <= spatial._SLAB == 1 << 24
