@@ -9,13 +9,19 @@ component, and the background of its 18-neighborhood exactly one
 Malandain 1994). Endpoints (exactly one foreground neighbor) are kept so
 that curve ends survive.
 
-Each neighborhood is packed into a 27-bit integer code (bit k is the k-th
-cell in (dz, dy, dx) lexicographic order). A component is grown from its
-lowest set bit by OR-ing per-byte adjacency tables until it stops
-changing, so the simple-point test is a handful of table lookups per
-voxel. The image is visited through its ascending list of foreground flat
-indices, which is exactly ``argwhere`` order; the list left at the fixpoint
-gives the skeleton's voxel coordinates without a skeleton volume.
+Each test counts the components of an 8-node graph held as an 8x8 bit
+matrix, row i in byte i of a uint64. Two punctured cells are 26-adjacent
+iff one of the eight 2x2x2 octants at the centre holds both, so the
+foreground's components are those of the octants, each foreground cell
+linking the octants it lies in. The background's face-holding components
+are those of the face octahedron less the links that foreground faces and
+edge cells break. Each matrix is an OR of per-cell table entries; three
+squarings (``M = OR_k _Q[byte k of M]``) close every path, and there is
+one component iff ``M == _Q[A]`` for the nonzero union A of the rows: a
+fixed number of numpy calls per block of voxels. The image is visited
+through its ascending list of foreground flat indices, which is exactly
+``argwhere`` order; the list left at the fixpoint gives the skeleton's
+voxel coordinates without a skeleton volume.
 
 Within a sub-iteration, simplicity is evaluated in bulk against the
 current image. Candidates are then resolved as if scanned in that order,
@@ -30,54 +36,48 @@ and the fixpoint loop makes the operator idempotent.
 
 import numpy as np
 
+from .errors import ValidationError
+
 _OFFSETS = np.array([(dz, dy, dx)
                      for dz in (-1, 0, 1) for dy in (-1, 0, 1) for dx in (-1, 0, 1)])
 _CENTER = 13
-_BITS = np.left_shift(1, np.arange(27, dtype=np.int64))
+_BLOCK = 1 << 12  # candidates per simple-point block: bounds the (27, n) temporaries
 
-_dist = np.abs(_OFFSETS[:, None, :] - _OFFSETS[None, :, :])
+
+def _bit_matrix(adj):
+    """(..., 8, 8) bool matrices as uint64 bit matrices, row i in byte i."""
+    rows = np.packbits(adj.reshape(*adj.shape[:-2], 64), axis=-1, bitorder="little")
+    return rows.view("<u8")[..., 0].astype(np.uint64)
+
+
+_bits8 = ((np.arange(256)[:, None] >> np.arange(8)) & 1).astype(bool)
+_Q = _bit_matrix(_bits8[:, :, None] & _bits8[:, None])  # _Q[v]: the outer product v x v
 _norm1 = np.abs(_OFFSETS).sum(axis=1)
-_PUNCTURED = int(_BITS.sum()) & ~(1 << _CENTER)
-_N18 = int(_BITS[_norm1 <= 2].sum()) & ~(1 << _CENTER)
-_FACES = int(_BITS[_norm1 == 1].sum())
+_FACES = _OFFSETS[_norm1 == 1]
+# Foreground nodes: the octants at the 8 corners, holding each cell within one step.
+_in_octant = (np.abs(_OFFSETS[:, None] - _OFFSETS[_norm1 == 3]).max(axis=2) <= 1) & (_norm1 > 0)[:, None]
+# Background nodes 0-5: the faces, two of them linked through their edge cell.
+_on_face = np.pad((_OFFSETS[:, None] == _FACES).all(axis=2), ((0, 0), (0, 2)))
+_on_edge = np.pad((_OFFSETS[:, None, None] == _FACES[:, None] + _FACES).all(axis=3),
+                  ((0, 0), (0, 2), (0, 2)))
+_octahedron = np.pad(_FACES @ _FACES.T >= 0, (0, 2))  # all face pairs but opposite ones
+_OCTAHEDRON = _bit_matrix(_octahedron)
+# Per cell, when foreground: it links its octants and breaks its face's or edge's links.
+_TABLE = np.stack((_bit_matrix(_in_octant[:, :, None] & _in_octant[:, None]),
+                   _bit_matrix(_octahedron & (_on_face[:, :, None] | _on_face[:, None] | _on_edge))),
+                  axis=1)[:, :, None]
 
 
-def _byte_tables(adj):
-    """tables[j, v]: union of the adjacency rows of the set bits of byte j = v."""
-    rows = np.concatenate((np.where(adj, _BITS, 0).sum(axis=1), np.zeros(5, np.int64)))
-    bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
-    return np.bitwise_or.reduce(np.where(bits[None], rows.reshape(4, 1, 8), 0), axis=2)
-
-
-# Four 256-entry tables per adjacency, flattened: 26-adjacency, then 6-adjacency.
-_TABLES = np.concatenate((_byte_tables(_dist.max(axis=2) == 1),
-                          _byte_tables(_dist.sum(axis=2) == 1))).ravel()
-_SHIFTS = np.arange(0, 32, 8)[:, None]
-
-
-def _reach(seed, allowed, base):
-    """Bits of `allowed` connected to `seed`, per row; column i of `base`
-    points row i at its adjacency's four tables in `_TABLES`."""
-    while True:
-        lookup = _TABLES[base + ((seed >> _SHIFTS) & 255)]
-        grown = (np.bitwise_or.reduce(lookup, axis=0) | seed) & allowed
-        if (grown == seed).all():
-            return seed
-        seed = grown
-
-
-def _simple(codes):
-    """(26, 6) simple-point test for an int64 array of 27-bit neighborhood codes."""
-    n = len(codes)
-    fg = codes & _PUNCTURED
-    bg = ~codes & _N18
-    face_bg = bg & _FACES
-    base = _SHIFTS * 32 + np.repeat((0, 1024), n)  # both tests share one growth loop
-    reach = _reach(np.concatenate((fg & -fg, face_bg & -face_bg)),
-                   np.concatenate((fg, bg)), base)
-    one_fg = (fg != 0) & (reach[:n] == fg)
-    one_bg = (face_bg != 0) & (reach[n:] & face_bg == face_bg)
-    return one_fg & one_bg
+def _simple(nb):
+    """(26, 6) simple-point test for (27, n) bool neighborhoods, one column each."""
+    n = nb.shape[1]
+    m = np.bitwise_or.reduce(nb[:, None] * _TABLE, axis=0).ravel()  # foreground, then background
+    m[n:] ^= _OCTAHEDRON
+    for _ in range(3):  # squarings: paths of up to 8 steps join every component of 8 nodes
+        m = np.bitwise_or.reduce(_Q.take(m.view(np.uint8).reshape(-1, 8).T), axis=0)
+    nodes = np.bitwise_or.reduce(m.view(np.uint8).reshape(-1, 8), axis=1)
+    one = (nodes != 0) & (m == _Q[nodes])
+    return one[:n] & one[n:]
 
 
 def _first_independent(idx, earlier):
@@ -95,6 +95,18 @@ def _first_independent(idx, earlier):
     return idx[np.array(keep, dtype=bool)]
 
 
+def _deletable(flat, border, offs):
+    """The simple points among ascending `border` with 2+ foreground
+    neighbors (endpoints and isolated voxels stay), in blocks of `_BLOCK`."""
+    found = [border[:0]]
+    for lo in range(0, len(border), _BLOCK):
+        idx = border[lo:lo + _BLOCK]
+        nb = flat[offs[:, None] + idx]
+        keep = np.count_nonzero(nb, axis=0) >= 3
+        found.append(idx[keep][_simple(nb[:, keep])])
+    return np.concatenate(found)
+
+
 def _thin_stack(masks, shape):
     """Thin `shape`d 3D masks as one zero-padded flat image, placed along z
     one background plane apart: the ascending flat ids of the skeleton
@@ -110,13 +122,7 @@ def _thin_stack(masks, shape):
     while changed:
         changed = False
         for step in (-sz, sz, -sy, sy, -1, 1):
-            idx = fg[~flat[fg + step]]
-            nb = flat[idx[:, None] + offs]
-            codes = np.packbits(nb, axis=1, bitorder="little").view("<u4")[:, 0].astype(np.int64)
-            others = codes & _PUNCTURED
-            keep = (others & (others - 1)) != 0  # 2+ neighbors: endpoints and isolated stay
-            idx, codes = idx[keep], codes[keep]
-            idx = idx[_simple(codes)]
+            idx = _deletable(flat, fg[~flat[fg + step]], offs)
             if len(idx) == 0:
                 continue
             flat[_first_independent(idx, offs[:_CENTER])] = False
@@ -136,6 +142,8 @@ def thin(mask: np.ndarray) -> np.ndarray:
     that has converged does not change in later rounds.
     """
     masks = np.asarray(mask, dtype=bool)
+    if masks.ndim not in (3, 4):
+        raise ValidationError(f"thin expects a 3D mask or a 4D stack of them, got shape {masks.shape}")
     stack = masks if masks.ndim == 4 else masks[None]
     skel = _thin_stack(stack, stack.shape[1:])[3].copy()
     return skel if masks.ndim == 4 else skel[0]

@@ -1,4 +1,4 @@
-"""Differential tests: the bit-code thinning against the flood-fill reference.
+"""Differential tests: the bit-matrix thinning against the flood-fill reference.
 
 `thin_reference` is the straightforward formulation (per-row min-label
 flood fill and a sequential conflict scan). The library must reproduce it
@@ -8,6 +8,7 @@ the whole skeleton.
 
 import inspect
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 import thin_reference
-from skeltop import threshold, thinning
+from skeltop import ValidationError, threshold, thinning
 from skeltop.synth import SynthSpec, generate_tree, rasterize
 
 
@@ -27,10 +28,15 @@ def code_rows(codes):
 
 def assert_same_simple(codes):
     codes = np.asarray(codes, dtype=np.int64)
-    got = thinning._simple(codes)
+    got = thinning._simple(code_rows(codes).T)
     want = thin_reference.simple_mask(code_rows(codes))
     bad = np.flatnonzero(got != want)
     assert len(bad) == 0, f"{len(bad)} codes differ, first {int(codes[bad[0]]):#09x}"
+
+
+def bit_matrix(m):
+    """A uint64 bit matrix (row i in byte i) as an (8, 8) bool array."""
+    return np.array([(int(m) >> k) & 1 for k in range(64)], dtype=bool).reshape(8, 8)
 
 
 def assert_same_skeleton(mask):
@@ -62,9 +68,72 @@ class TestSimplePoint:
 
     def test_textbook_cases(self):
         center, face = 1 << 13, 1 << 4
-        assert not thinning._simple(np.array([center]))[0]          # isolated voxel
-        assert thinning._simple(np.array([center | face]))[0]       # curve end
-        assert not thinning._simple(np.array([(1 << 27) - 1]))[0]   # interior voxel
+        assert not thinning._simple(code_rows([center]).T)[0]          # isolated voxel
+        assert thinning._simple(code_rows([center | face]).T)[0]       # curve end
+        assert not thinning._simple(code_rows([(1 << 27) - 1]).T)[0]   # interior voxel
+
+
+class TestBitMatrixConstruction:
+    """The tables behind the simple-point test, checked against adjacency
+    computed from cell offsets."""
+
+    cells = np.array(thin_reference._OFFSETS)
+    punctured = [c for c in range(27) if c != thinning._CENTER]
+
+    def test_outer_product_table(self):
+        for v in range(256):
+            bits = ((v >> np.arange(8)) & 1).astype(bool)
+            assert np.array_equal(bit_matrix(thinning._Q[v]), np.outer(bits, bits)), v
+
+    def test_cells_sharing_an_octant_are_26_adjacent(self):
+        links = [bit_matrix(m) for m in thinning._TABLE[:, 0, 0]]
+        assert not links[thinning._CENTER].any()
+        octants = [np.diag(m) for m in links]
+        for c in self.punctured:
+            assert np.array_equal(links[c], np.outer(octants[c], octants[c]))
+            assert octants[c].sum() == 2 ** (3 - np.abs(self.cells[c]).sum())
+        for p, q in itertools.permutations(self.punctured, 2):
+            adjacent = np.abs(self.cells[p] - self.cells[q]).max() == 1
+            assert (octants[p] & octants[q]).any() == adjacent, (p, q)
+
+    def test_background_table_is_6_adjacency_on_n18(self):
+        n18 = [c for c in self.punctured if np.abs(self.cells[c]).sum() <= 2]
+        faces = [c for c in n18 if np.abs(self.cells[c]).sum() == 1]
+        assert np.array_equal(self.cells[faces], thinning._FACES)
+
+        def six(p, q):
+            return np.abs(self.cells[p] - self.cells[q]).sum() == 1
+
+        # each entry (i, j) of the octahedron: the N18 cells it needs background
+        needs = {}
+        for i, j in itertools.product(range(6), repeat=2):
+            via = [c for c in n18 if i != j and six(c, faces[i]) and six(c, faces[j])]
+            if i == j or via:
+                needs[i, j] = {faces[i], faces[j], *via}
+        octahedron = bit_matrix(thinning._OCTAHEDRON)
+        assert octahedron.sum() == len(needs) == 6 + 24
+        for c in range(27):
+            broken = bit_matrix(thinning._TABLE[c, 1, 0])
+            for i, j in itertools.product(range(8), repeat=2):
+                assert octahedron[i, j] == ((i, j) in needs)
+                assert broken[i, j] == (c in needs.get((i, j), ())), (c, i, j)
+
+    def test_structured_sweep_matches_reference(self):
+        # all 64 face patterns x edge patterns with at most two cells set or
+        # clear x corners all clear or all set, centre set
+        norm = np.abs(self.cells).sum(axis=1)
+        faces, edges, corners = (np.flatnonzero(norm == k) for k in (1, 2, 3))
+        sparse = [set(b) for k in (0, 1, 2) for b in itertools.combinations(range(12), k)]
+        edge_sets = sparse + [set(range(12)) - b for b in sparse]
+        rows = []
+        for f, e, full in itertools.product(range(64), edge_sets, (False, True)):
+            row = np.zeros(27, dtype=bool)
+            row[[thinning._CENTER, *faces[((f >> np.arange(6)) & 1).astype(bool)], *edges[sorted(e)]]] = True
+            row[corners] = full
+            rows.append(row)
+        rows = np.array(rows)
+        assert len(rows) == 64 * 158 * 2
+        assert np.array_equal(thinning._simple(rows.T), thin_reference.simple_mask(rows))
 
 
 class TestThinMatchesReference:
@@ -106,6 +175,58 @@ def assert_same_stack(stack):
         assert np.array_equal(alone, thin_reference.thin(member)), f"member {i} vs reference"
 
 
+class TestBlocks:
+    def test_block_size_does_not_change_the_skeleton(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        field = ndimage.gaussian_filter(rng.random((2, 14, 15, 16)), 0.8)
+        stack = field > np.median(field)
+        whole = thinning.thin(stack)
+        assert np.array_equal(whole[0], thin_reference.thin(stack[0]))
+        for block in (1, 7):
+            monkeypatch.setattr(thinning, "_BLOCK", block)
+            assert np.array_equal(thinning.thin(stack), whole), block
+
+    def test_blocks_bound_the_neighborhood_temporaries(self, monkeypatch):
+        # 200k border voxels: unblocked, the (27, n) int64 gather indices
+        # alone would hold 216 bytes per voxel
+        rng = np.random.default_rng(2)
+        image = np.zeros((6, 302, 302), dtype=bool)
+        image[1:-1, 1:-1, 1:-1] = rng.random((4, 300, 300)) < 0.6
+        flat = image.ravel()
+        border = np.flatnonzero(flat)
+        offs = thinning._OFFSETS @ np.array([302 * 302, 302, 1])
+        widths = []
+        simple = thinning._simple
+
+        def recording(nb):
+            widths.append(nb.shape[1])
+            return simple(nb)
+
+        monkeypatch.setattr(thinning, "_simple", recording)
+        tracemalloc.start()
+        try:
+            found = thinning._deletable(flat, border, offs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(border) > 50 * thinning._BLOCK and len(found) > 0
+        assert len(widths) == -(-len(border) // thinning._BLOCK)
+        assert peak < 16 * len(border) + 1024 * thinning._BLOCK, peak
+
+    def test_large_mask_holds_little_beyond_the_image(self):
+        spec = SynthSpec(seed=3, dims=(160,) * 3, n_branch_points=3, segment_length=(13.3, 26.7),
+                         tube_radius=3.5, noise_sigma=0.1, blur_sigma=1.0)
+        mask = rasterize(generate_tree(spec), spec)[0].bool_data()
+        tracemalloc.start()
+        try:
+            thinning.thin(mask)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        padded = np.prod(np.add(mask.shape, 2))  # the zero-padded image thin works on
+        assert peak < padded + mask.size + 2**20, peak
+
+
 class TestThinStack:
     @settings(max_examples=30, deadline=None)
     @given(k=st.integers(1, 3), dims=st.tuples(*[st.integers(1, 16)] * 3),
@@ -144,6 +265,11 @@ class TestThinStack:
     def test_zero_size_dims(self, shape):
         got = thinning.thin(np.ones(shape, dtype=bool))
         assert got.dtype == bool and got.shape == shape
+
+    @pytest.mark.parametrize("shape", [(4, 5), (2, 3, 4, 5, 6), ()])
+    def test_other_ranks_raise_validation_error(self, shape):
+        with pytest.raises(ValidationError, match="3D"):
+            thinning.thin(np.ones(shape, dtype=bool))
 
     def test_3d_input_gives_3d_output(self):
         mask = np.ones((4, 5, 6), dtype=bool)
