@@ -143,25 +143,21 @@ def _cmd_tasl(args, parser):
 
 def _cmd_loss(args, parser):
     from .losses import DeepSupervisionConfig, ScaleLoss, default_scale_weights, total_loss
-    doc = rawjson.load_object(args.scales)
-    if "scales" not in doc:
+    doc, fields = rawjson.load_object(args.scales), ("dice", "ce", "tasl")
+    number = rawjson.is_finite_number  # booleans and strings are not numbers
+    scales, weights, beta = doc.get("scales"), doc.get("scale_weights"), doc.get("beta", 1.0)
+    if not isinstance(scales, list):
         raise ValidationError(f"{args.scales}: expected an object with a 'scales' array")
-    try:
-        scales = [ScaleLoss(float(s["dice"]), float(s["ce"]), float(s["tasl"]))
-                  for s in doc["scales"]]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    if not all(isinstance(s, dict) and all(number(s.get(k)) for k in fields) for s in scales):
         raise ValidationError(
-            f"{args.scales}: each scale needs numeric 'dice', 'ce', 'tasl' fields ({exc})") from None
-    weights = doc.get("scale_weights")
+            f"{args.scales}: each scale needs finite numeric 'dice', 'ce', 'tasl' fields")
     if weights is None:
         weights = default_scale_weights(len(scales))
-    try:
-        weights, beta = tuple(float(w) for w in weights), float(doc.get("beta", 1.0))
-    except (TypeError, ValueError, OverflowError):
+    if not (isinstance(weights, (list, tuple)) and all(map(number, weights)) and number(beta)):
         raise ValidationError(
-            f"{args.scales}: 'scale_weights' must be an array of numbers and 'beta' a number") from None
-    cfg = DeepSupervisionConfig(scale_weights=weights, beta=beta)
-    value = total_loss(scales, cfg)
+            f"{args.scales}: 'scale_weights' must be an array of numbers and 'beta' a number")
+    cfg = DeepSupervisionConfig(scale_weights=weights, beta=float(beta))
+    value = total_loss([ScaleLoss(*(float(s[k]) for k in fields)) for s in scales], cfg)
     return {"schema": SCHEMA, "total": value, "beta": cfg.beta,
             "scale_weights": list(cfg.scale_weights), "n_scales": len(scales)}
 

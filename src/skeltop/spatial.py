@@ -3,7 +3,7 @@ metrics and the skeleton node terms. Each distance equals the brute-force minimu
 bit for bit: a pair is skipped only when rounded arithmetic shows it no nearer.
 Integer inputs first settle each point with a target in its 3x3x3 lattice cube by
 gathers from a z-slab occupancy box. Two sets queried both ways share that stage, or
-one pass over their nearby pairs.
+one pass over their nearby pairs; a level's leftovers go on at the next doubled cell.
 """
 
 import itertools
@@ -129,41 +129,59 @@ def _points(p, what):
     return a
 
 
-def _setup(queries, targets):
-    """Validated inputs, their float64 columns, the low and high corners of their box, the
-    span, and whether both are integer arrays below 2**53 in magnitude (exact in float64)."""
+def _setup(queries, targets, both):
+    """Validated inputs' float64 columns, the low and high corners of their box, the span,
+    and whether both are integer arrays below 2**53 in magnitude (exact in float64)."""
     queries, targets = _points(queries, "query"), _points(targets, "target")
     q_cols, t_cols = (p.astype(np.float64).T.copy() for p in (queries, targets))
     if not (np.isfinite(q_cols).all() and np.isfinite(t_cols).all()):
         raise ValidationError("query and target points must be finite")
-    if len(targets) == 0:
+    if len(targets) == 0 or both and len(queries) == 0:  # as the reverse call would fail
         raise ValidationError("nearest distances need a non-empty target set")
-    both = np.concatenate((q_cols, t_cols), axis=1)  # reductions are fast on (3, n)
-    lo, hi = both.min(1, keepdims=True), both.max(1, keepdims=True)
+    cols = np.concatenate((q_cols, t_cols), axis=1)  # reductions are fast on (3, n)
+    lo, hi = cols.min(1, keepdims=True), cols.max(1, keepdims=True)
     lattice = (queries.dtype.kind in "iu" and targets.dtype.kind in "iu"
                and -2.0 ** 53 < lo.min() and hi.max() < 2.0 ** 53)
-    return queries, targets, q_cols, t_cols, lo, hi, float((hi - lo).max()), lattice
+    return q_cols, t_cols, lo, hi, float((hi - lo).max()), lattice
 
 
-def _first_cell(t_cols, span):
-    """The target extent and the first grid cell, extent / sqrt(n_t) and >= span / 2**20."""
+def _grid(best, q_cols, t_cols, todo, lo, span, lattice, t_best=None):
+    """Lower best[todo] to exact minima by the grid levels, then the bounded pass; return the
+    first level's bound, where t_best if given is lowered too (see _scan). After a lattice
+    stage the levels start at the first that can settle d2 = 4."""
     extent = float(np.ptp(t_cols, 1).max())
-    return extent, max(extent / math.sqrt(t_cols.shape[1]), span / 2.0 ** 20)
-
-
-def _grid(best, q_cols, t_cols, todo, lo, span, extent, cell, lattice):
-    """Lower best[todo] to exact minima by the grid levels from cell, then the bounded
-    pass; after a lattice stage the levels start at the first that can settle d2 = 4."""
+    cell, first = max(extent / math.sqrt(t_cols.shape[1]), span / 2.0 ** 20), None
     while lattice and cell * (1.0 - 2.0 ** -20) < 2.0:  # the rest are at d2 >= 4
         cell *= 2.0
     far = max(extent / t_cols.shape[1] ** 0.25, cell)
     while len(todo) and cell <= far:  # coarser levels would span most of a surface
-        todo, cell = _level(best, q_cols, t_cols, todo, lo, cell, span)[0], cell * 2.0
+        todo, bound = _level(best, q_cols, t_cols, todo, lo, cell, span, t_best)
+        first, t_best, cell = bound if first is None else first, None, cell * 2.0
     if len(todo):
         _bounded_pass(best, q_cols, t_cols, todo, lo, far, span)
+    return first
 
 
 @np.errstate(over="ignore")  # separations beyond the float range are inf
+def _nearest(queries, targets, both):
+    """min_dists_to_set(queries, targets), and when both, its reverse from the same stages."""
+    q_cols, t_cols, lo, hi, span, lattice = _setup(queries, targets, both)
+    n_q, n_t = q_cols.shape[1], t_cols.shape[1]
+    best, t_best = np.full(n_q, np.inf), np.full(n_t, np.inf) if both else None
+    if n_q * n_t <= _PAIR_BUDGET or not span / 2.0 ** 20 > 0:  # few pairs or a degenerate span
+        _scan(best, q_cols, t_cols, np.arange(n_q), np.zeros(n_q, np.int64), np.full(n_q, n_t),
+              t_best)
+    elif lattice:  # leftovers are at d2 >= 4, with best inf
+        _lattice(best, q_cols, t_cols, lo, hi, t_best)
+        for d, q, t in ((best, q_cols, t_cols), (t_best, t_cols, q_cols))[:1 + both]:
+            _grid(d, q, t, np.flatnonzero(d > 3), lo, span, True)
+    else:
+        bound = _grid(best, q_cols, t_cols, np.arange(n_q), lo, span, False, t_best)
+        if both:
+            _grid(t_best, t_cols, q_cols, np.flatnonzero(~(t_best <= bound)), lo, span, False)
+    return (np.sqrt(best), np.sqrt(t_best)) if both else np.sqrt(best)
+
+
 def min_dists_to_set(queries, targets) -> np.ndarray:
     """Exact Euclidean distance from each query point to its nearest point in
     `targets`, equal bit for bit to the brute-force minimum. Up to _PAIR_BUDGET
@@ -181,42 +199,14 @@ def min_dists_to_set(queries, targets) -> np.ndarray:
     what brute force computes. The rest search the grid from the first doubled cell that
     can settle d2 = 4 (`far` is at least that cell). A box whose plane is more than a
     third of a slab skips the stage. Inputs must be (n, 3) arrays of bool, integer or float."""
-    queries, targets, q_cols, t_cols, lo, hi, span, lattice = _setup(queries, targets)
-    (n_q, n_t), (extent, cell) = (len(queries), len(targets)), _first_cell(t_cols, span)
-    best = np.full(n_q, np.inf)
-    if n_q * n_t <= _PAIR_BUDGET or not 0 < cell < span:
-        _scan(best, q_cols, t_cols, np.arange(n_q), np.zeros(n_q, np.int64), np.full(n_q, n_t))
-        return np.sqrt(best)
-    todo = _lattice(best, q_cols, t_cols, lo, hi) if lattice else np.arange(n_q)
-    _grid(best, q_cols, t_cols, todo, lo, span, extent, cell, lattice)
-    return np.sqrt(best)
+    return _nearest(queries, targets, False)
 
 
-@np.errstate(over="ignore")
 def _min_dists_both(a, b):
-    """(min_dists_to_set(a, b), min_dists_to_set(b, a)) bit for bit. Integer sets take
-    one two-way lattice stage, and each side's leftovers search the grid in their own
-    direction. Other sets take one pass over all pairs or over the first grid level of
-    a onto b. The 27-cell relation is symmetric, so a b point whose best is within the
-    cell is exact too, as (t - q)**2 == (q - t)**2, summed in the same axis order. The
-    points either side leaves unsettled go through min_dists_to_set."""
-    a, b, a_cols, b_cols, lo, hi, span, lattice = _setup(a, b)
-    if len(a) == 0:  # the reverse call fails as min_dists_to_set does
-        return min_dists_to_set(a, b), min_dists_to_set(b, a)
-    (n_a, n_b), (_, cell) = (len(a), len(b)), _first_cell(b_cols, span)
-    best_a, best_b = np.full(n_a, np.inf), np.full(n_b, np.inf)
-    if n_a * n_b <= _PAIR_BUDGET or not 0 < cell < span:
-        _scan(best_a, a_cols, b_cols, np.arange(n_a), np.zeros(n_a, np.int64), np.full(n_a, n_b),
-              best_b)
-        return np.sqrt(best_a), np.sqrt(best_b)
-    if lattice:  # leftovers are at d2 >= 4, with best inf
-        _lattice(best_a, a_cols, b_cols, lo, hi, best_b)
-        for best, q, t in ((best_a, a_cols, b_cols), (best_b, b_cols, a_cols)):
-            _grid(best, q, t, np.flatnonzero(best > 3), lo, span, *_first_cell(t, span), True)
-        return np.sqrt(best_a), np.sqrt(best_b)
-    todo_a, bound = _level(best_a, a_cols, b_cols, np.arange(n_a), lo, cell, span, best_b)
-    todo_b, d_a, d_b = np.flatnonzero(~(best_b <= bound)), np.sqrt(best_a), np.sqrt(best_b)
-    for d, todo, q, t in ((d_a, todo_a, a, b), (d_b, todo_b, b, a)):
-        if len(todo):
-            d[todo] = min_dists_to_set(q[todo], t)
-    return d_a, d_b
+    """(min_dists_to_set(a, b), min_dists_to_set(b, a)) bit for bit. The all-pairs scan
+    and the integer lattice stage serve both directions in one pass, and so does the first
+    grid level of a onto b for other sets. The 27-cell relation is symmetric, so a b point
+    whose best is within that cell is exact too, as (t - q)**2 == (q - t)**2, summed in the
+    same axis order. Each side's leftovers then search the grid in their own direction:
+    a's from the next doubled cell, b's from the first cell onto a."""
+    return _nearest(a, b, True)

@@ -48,6 +48,8 @@ class Volume3D:
         sp = tuple(float(s) for s in self.spacing)
         if len(sp) != 3 or any(not 0 < s < np.inf for s in sp):  # NaN fails too
             raise ValidationError(f"spacing must be 3 positive reals, got {self.spacing!r}")
+        if self.kind == BINARY and arr.dtype.kind in "fc" and not np.isfinite(arr).all():
+            raise ValidationError("binary volume has NaN or infinite values")  # the cast hides them
         arr = np.asarray(arr, dtype=_KIND_DTYPE[self.kind])
         if self.kind == PROBABILITY:
             lo, hi = float(arr.min()), float(arr.max())

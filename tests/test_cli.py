@@ -253,6 +253,11 @@ class TestCommands:
         {"scales": [{"dice": 0.4, "ce": 0.6, "tasl": 0.5}], "beta": "x"},
         {"scales": [{"dice": 0.4, "ce": 0.6, "tasl": 0.5}], "scale_weights": ["x"]},
         {"scales": [{"dice": 0.4, "ce": 0.6, "tasl": 0.5}], "beta": float("nan")},
+        {"scales": [{"dice": 0.4, "ce": 0.6, "tasl": 0.5}], "scale_weights": "1"},
+        {"scales": [{"dice": "0.5", "ce": 0.6, "tasl": 0.5}]},
+        {"scales": [{"dice": 0.4, "ce": True, "tasl": 0.5}]},
+        {"scales": [{"dice": 0.4, "ce": 0.6, "tasl": 0.5}], "beta": True},
+        {"scales": [[0.4, 0.6, 0.5]]}, {"scales": "dice"},
     ])
     def test_loss_non_numeric_exit2(self, tmp_path, doc):
         path = tmp_path / "scales.json"

@@ -1,15 +1,18 @@
-"""The benchmark's use of the package API still resolves.
+"""The benchmark's use of the package API still resolves, and its gate still passes.
 
 `perfbench/` calls skeltop as `sk.<name>` and through `from skeltop.<module>
-import <name>`. This reads those sources as syntax trees (nothing in
-`perfbench/` is imported or run) and checks that every such name exists, so
-a change that drops or renames a public name the benchmark needs fails here
-rather than in a benchmark run.
+import <name>`. This reads those sources as syntax trees and checks that every
+such name exists, so a change that drops or renames a public name the
+benchmark needs fails here rather than in a benchmark run. The benchmark's
+gate self-test (`perfbench/selftest.py`) runs in a subprocess for the same
+reason: a change that breaks the correctness gate fails here too.
 """
 
 import ast
 import importlib
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -74,3 +77,10 @@ def test_a_missing_name_is_reported(tmp_path):
     assert sorted(refs) == [(2, "skeltop.volume.nope"), (3, "skeltop.esa"), (4, "skeltop.gone")]
     assert sorted(name for _, name in refs if not resolves(name)) == [
         "skeltop.gone", "skeltop.volume.nope"]
+
+
+def test_the_benchmark_gate_self_test_passes(tmp_path):
+    """perfbench/selftest.py exits 0, run from outside the checkout (about 2 s)."""
+    res = subprocess.run([sys.executable, str(PERFBENCH / "selftest.py")], cwd=tmp_path,
+                         capture_output=True, text=True, timeout=600)
+    assert res.returncode == 0, res.stdout + res.stderr

@@ -196,6 +196,18 @@ def test_all_pairs_up_to_the_pair_budget_then_the_grid(monkeypatch, extra):
     assert bool(grids) == bool(extra)
 
 
+@pytest.mark.parametrize("units, grid", [(0, False), (1000, False), (2 ** 21, True)])
+def test_subnormal_spans_take_the_scan_until_span_over_2_20_is_positive(monkeypatch, units, grid):
+    rng = np.random.default_rng(units)
+    a, b = (rng.integers(0, units + 1, size=(n, 3)) * 5e-324 for n in (300, 200))
+    a[0], b[0] = 0.0, units * 5e-324  # the span is exactly `units` subnormal steps
+    grids = _spy(monkeypatch, "_sorted_cells")
+    assert np.array_equal(min_dists_to_set(a, b), brute_min_dists(a, b))
+    d_a, d_b = spatial._min_dists_both(a, b)
+    assert np.array_equal(d_a, brute_min_dists(a, b)) and np.array_equal(d_b, brute_min_dists(b, a))
+    assert bool(grids) == grid
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_bounded_pass_on_box_faces_and_one_ulp_off(monkeypatch, seed):
     # lattice targets in a shell make every box face an integer; far integer
@@ -483,16 +495,29 @@ def test_both_directions_on_cell_borders_and_one_ulp_off(seed):
 
 
 def test_both_directions_share_the_first_level(monkeypatch):
-    # nearly all of the shared cluster settles in the one shared level; the far
-    # cluster of each side goes through min_dists_to_set
+    # nearly all of the shared cluster settles in the one shared level; only the far
+    # cluster of each side is searched again, in its own direction
     a, b = _pair_sets("partly-far", np.random.default_rng(42), 3000, 2500)
-    levels, calls = _spy(monkeypatch, "_level"), []
-    real = spatial.min_dists_to_set
-    monkeypatch.setattr(spatial, "min_dists_to_set", lambda q, t: calls.append(len(q)) or real(q, t))
+    levels = _spy(monkeypatch, "_level")
     d_a, d_b = spatial._min_dists_both(a, b)
     assert np.array_equal(d_a, brute_in_blocks(a, b)) and np.array_equal(d_b, brute_in_blocks(b, a))
-    assert len(levels[0]) == 8  # the first level carries the reverse side
-    assert 0 < calls[0] < len(a) and 0 < calls[1] < len(b)
+    assert levels[0][7] is not None  # the first level carries the reverse side
+    assert all(call[7] is None for call in levels[1:])
+    for n_t, n_q in ((len(b), len(a)), (len(a), len(b))):
+        again = [len(call[3]) for call in levels[1:] if call[2].shape[1] == n_t]
+        assert again and 0 < again[0] < n_q
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_each_direction_scans_each_cell_once(monkeypatch, seed):
+    # far leftovers on both sides go on from the next doubled cell, never a cell again
+    a, b = _pair_sets("partly-far", np.random.default_rng(seed), 2000, 1500)
+    levels = _spy(monkeypatch, "_level")
+    d_a, d_b = spatial._min_dists_both(a, b)
+    assert np.array_equal(d_a, brute_in_blocks(a, b)) and np.array_equal(d_b, brute_in_blocks(b, a))
+    for n_t in (len(b), len(a)):
+        cells = [call[5] for call in levels if call[2].shape[1] == n_t]
+        assert len(cells) >= 2 and all(c0 < c1 for c0, c1 in zip(cells, cells[1:]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

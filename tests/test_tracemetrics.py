@@ -248,9 +248,11 @@ class TestBothDirectionsPinned:
         shifted = pred.node_positions()
         shifted[:60] += (25.0, 0.0, 0.0)  # a far branch on the prediction side only
         pred = path_morphology(shifted)
-        calls, real = [], spatial.min_dists_to_set
-        monkeypatch.setattr(spatial, "min_dists_to_set", lambda q, t: calls.append(len(q)) or real(q, t))
+        levels, real = [], spatial._level
+        monkeypatch.setattr(spatial, "_level", lambda *a: levels.append(a) or real(*a))
         report = evaluate_trace(pred, gt, theta=2.0, resample_step=0.25)
         monkeypatch.undo()
         assert (report.esa, report.dsa, report.pds) == two_call_report(pred, gt, 2.0, 0.25)
-        assert calls and calls[0] < report.n_pred  # only the unsettled nodes are searched again
+        assert levels[0][7] is not None  # the first level carries the reverse side
+        again = [len(call[3]) for call in levels[1:] if call[1] is levels[0][1]]
+        assert again and again[0] < report.n_pred  # only the unsettled nodes are searched again

@@ -1,6 +1,7 @@
 import json
 import os
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -87,6 +88,16 @@ class TestVolume3D:
         else:
             with pytest.raises(ValidationError, match="binary"):
                 Volume3D(values, BINARY)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("dtype", ["<f4", "<f8"])
+    def test_binary_non_finite_floats_rejected_not_cast(self, bad, dtype):
+        data = np.ones((2, 3, 4), dtype=dtype)
+        data[1, 2, 3] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no cast of the bad value is attempted
+            with pytest.raises(ValidationError, match="binary volume has NaN or infinite"):
+                Volume3D(data, BINARY)
 
     @pytest.mark.parametrize("kind", [BINARY, PROBABILITY])
     def test_empty_sized_volume_rejected(self, kind):
