@@ -144,18 +144,19 @@ def _cmd_tasl(args, parser):
 def _cmd_loss(args, parser):
     from .losses import DeepSupervisionConfig, ScaleLoss, default_scale_weights, total_loss
     doc, fields = rawjson.load_object(args.scales), ("dice", "ce", "tasl")
-    number = rawjson.is_finite_number  # booleans and strings are not numbers
+    number = rawjson.is_finite_number
     scales, weights, beta = doc.get("scales"), doc.get("scale_weights"), doc.get("beta", 1.0)
     if not isinstance(scales, list):
         raise ValidationError(f"{args.scales}: expected an object with a 'scales' array")
     if not all(isinstance(s, dict) and all(number(s.get(k)) for k in fields) for s in scales):
         raise ValidationError(
             f"{args.scales}: each scale needs finite numeric 'dice', 'ce', 'tasl' fields")
-    if weights is None:
-        weights = default_scale_weights(len(scales))
-    if not (isinstance(weights, (list, tuple)) and all(map(number, weights)) and number(beta)):
+    if not ((weights is None or isinstance(weights, list) and all(map(number, weights)))
+            and number(beta)):
         raise ValidationError(
             f"{args.scales}: 'scale_weights' must be an array of numbers and 'beta' a number")
+    if weights is None:
+        weights = default_scale_weights(len(scales))
     cfg = DeepSupervisionConfig(scale_weights=weights, beta=float(beta))
     value = total_loss([ScaleLoss(*(float(s[k]) for k in fields)) for s in scales], cfg)
     return {"schema": SCHEMA, "total": value, "beta": cfg.beta,

@@ -168,7 +168,7 @@ def _nearest(queries, targets, both):
     q_cols, t_cols, lo, hi, span, lattice = _setup(queries, targets, both)
     n_q, n_t = q_cols.shape[1], t_cols.shape[1]
     best, t_best = np.full(n_q, np.inf), np.full(n_t, np.inf) if both else None
-    if n_q * n_t <= _PAIR_BUDGET or not span / 2.0 ** 20 > 0:  # few pairs or a degenerate span
+    if n_q * n_t <= _PAIR_BUDGET or not 0 < span / 2.0 ** 20 < math.inf:  # degenerate span
         _scan(best, q_cols, t_cols, np.arange(n_q), np.zeros(n_q, np.int64), np.full(n_q, n_t),
               t_best)
     elif lattice:  # leftovers are at d2 >= 4, with best inf
@@ -184,9 +184,9 @@ def _nearest(queries, targets, both):
 
 def min_dists_to_set(queries, targets) -> np.ndarray:
     """Exact Euclidean distance from each query point to its nearest point in
-    `targets`, equal bit for bit to the brute-force minimum. Up to _PAIR_BUDGET
-    pairs, or on a degenerate span, all pairs are scanned. Otherwise a query scans
-    its 27 cells of side extent / sqrt(n_t) (at least span / 2**20), doubled up to
+    `targets`, equal bit for bit to the brute-force minimum. Up to _PAIR_BUDGET pairs,
+    or when span / 2**20 is 0 or inf, all pairs are scanned. Otherwise a query scans its
+    27 cells of side extent / sqrt(n_t) (at least span / 2**20), doubled up to
     `far` = extent / n_t**0.25, until its best is within the cell. The rest take one
     bounded pass over cells of side `far`, about sqrt(n_t) cells on a surface: each
     scans the cell of its nearest tight box, then those within its best so far.

@@ -263,6 +263,20 @@ def test_squares_overflowing_to_inf():
     assert np.array_equal(min_dists_to_set(queries, targets), want)
 
 
+def test_box_overflowing_to_inf_takes_the_scan():
+    # every coordinate is finite but hi - lo is inf, so no grid cell fits the box
+    rng = np.random.default_rng(25)
+    a = np.concatenate((rng.uniform(-1, 1, size=(150, 3)), [[1.5e308, 0.0, 0.0]]))
+    b = np.concatenate((rng.uniform(-1, 1, size=(150, 3)), [[-1.5e308, 0.0, 0.0]]))
+    assert len(a) * len(b) > spatial._PAIR_BUDGET
+    with np.errstate(over="ignore"):
+        want_a, want_b = brute_min_dists(a, b), brute_min_dists(b, a)
+    assert np.isinf(want_a[-1]) and np.isinf(want_b[-1]) and np.isfinite(want_a[:-1]).all()
+    assert np.array_equal(min_dists_to_set(a, b), want_a)
+    d_a, d_b = spatial._min_dists_both(a, b)
+    assert np.array_equal(d_a, want_a) and np.array_equal(d_b, want_b)
+
+
 def test_far_cloud_onto_sphere_finishes_fast():
     # level doubling took 13-18 s here: far queries reached levels whose 27
     # cells held most of the sphere
