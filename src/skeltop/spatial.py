@@ -88,13 +88,13 @@ def _bounded_pass(best, q_cols, t_cols, todo, lo, cell, span):
 def _lattice(best, q_cols, t_cols, lo, hi, t_best=None):
     """Set best[i] (inf on entry) to the exact squared distance of each query with a
     target in its 3x3x3 cube, and t_best likewise for targets onto queries if given;
-    return the other query indices. Coordinates are integers in [lo, hi] per axis, each
-    below 2**53 in magnitude, and the padded box is walked in z-slabs (see min_dists_to_set)."""
+    the others stay inf. Coordinates are integers in [lo, hi] per axis, each below
+    2**53 in magnitude, and the padded box is walked in z-slabs (see min_dists_to_set)."""
     base = np.array([int(v) - 1 for v in lo.ravel()], dtype=np.int64)[:, None]
     side = [int(h) - int(v) + 2 for h, v in zip(hi.ravel(), base.ravel())]  # Python ints
     depth = min(_SLAB // (plane := side[1] * side[2]), side[0])  # planes per slab
     if depth < 3:
-        return np.arange(q_cols.shape[1])
+        return
     offsets = [shell @ np.array([plane, side[2], 1]) for shell in _SHELLS]
     pts = []  # per side: plane and in-plane id of each point, sorted by plane, and the order
     for cols in (q_cols, t_cols):
@@ -116,7 +116,6 @@ def _lattice(best, q_cols, t_cols, lo, hi, t_best=None):
                 hit = (box[ids[todo, None] + off] & bit).any(1)
                 d[order[done[n] + todo[hit]]], todo = d2, todo[~hit]
             done[n] = j
-    return np.flatnonzero(np.isinf(best))
 
 
 def _points(p, what):

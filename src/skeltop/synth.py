@@ -100,28 +100,41 @@ def _unit_sphere(rng):
             return v / n
 
 
+def _cross(a, b):
+    """np.cross of two 3-tuples, term for term."""
+    return a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]
+
+
+def _unit(v, least=0.0):
+    """v over its norm (summed in NumPy's order), or over `least` if that is larger."""
+    n = max(least, math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2]))
+    return v[0] / n, v[1] / n, v[2] / n
+
+
 def _cap_direction(rng, axis, cos_min):
     """Uniform direction on the spherical cap {u : dot(u, axis) >= cos_min}."""
     z = rng.uniform(cos_min, 1.0)
     phi = rng.uniform(0.0, 2.0 * np.pi)
-    s = np.sqrt(max(0.0, 1.0 - z * z))
-    helper = np.array([1.0, 0.0, 0.0]) if abs(axis[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    u = np.cross(axis, helper)
-    u /= np.sqrt((u ** 2).sum())
-    v = np.cross(axis, u)
-    return s * np.cos(phi) * u + s * np.sin(phi) * v + z * axis
+    s = math.sqrt(max(0.0, 1.0 - z * z))
+    u = _unit(_cross(axis, (1.0, 0.0, 0.0) if abs(axis[0]) < 0.9 else (0.0, 1.0, 0.0)))
+    v = _cross(axis, u)
+    c, t = s * float(np.cos(phi)), s * float(np.sin(phi))  # NumPy's: math's may differ
+    return (c * u[0] + t * v[0] + z * axis[0], c * u[1] + t * v[1] + z * axis[1],
+            c * u[2] + t * v[2] + z * axis[2])
 
 
 def generate_tree(spec: SynthSpec) -> Morphology:
-    """Grow a branching path tree inside the volume, deterministically."""
+    """Grow a branching path tree inside the volume, deterministically. Points
+    and directions are float 3-tuples, each operation in the order of the NumPy
+    formulation (kept in tests/synth_reference.py), so trees are bit-identical."""
     rng = _rng(spec.seed, STREAM_TREE)
     d, h, w = spec.dims
     margin = spec.tube_radius + 1.0
-    lo = np.array([margin, margin, margin])
-    hi = np.array([w - 1 - margin, h - 1 - margin, d - 1 - margin])  # (x, y, z)
-    if (hi - lo).min() <= 0:
+    hi = (w - 1 - margin, h - 1 - margin, d - 1 - margin)  # (x, y, z); lo is margin on each
+    if min(hi) - margin <= 0:
         raise GenerationError(
             f"dims {spec.dims} leave no interior for margin {margin:.2f}")
+    centre = tuple(0.5 * (margin + b) for b in hi)
 
     positions = []  # node id - 1 indexes these and records
     directions = []
@@ -129,26 +142,25 @@ def generate_tree(spec: SynthSpec) -> Morphology:
 
     def add_node(pos, direction, parent_id, type_code):
         node_id = len(records) + 1
-        records.append(SwcRecord(node_id, type_code, float(pos[0]), float(pos[1]),
-                                 float(pos[2]), spec.tube_radius, parent_id))
-        positions.append(np.asarray(pos, dtype=np.float64))
+        records.append(SwcRecord(node_id, type_code, *pos, spec.tube_radius, parent_id))
+        positions.append(pos)
         directions.append(direction)
         return node_id
 
     def grow_path(current, direction, n_segments, type_code):
         for _ in range(n_segments):
-            pos = positions[current - 1]
+            x, y, z = positions[current - 1]
             step = rng.uniform(*spec.segment_length)
             d_try = direction
             for attempt in range(_MAX_DIRECTION_TRIES):
-                nxt = pos + step * d_try
-                if (nxt >= lo).all() and (nxt <= hi).all():
+                nxt = x + step * d_try[0], y + step * d_try[1], z + step * d_try[2]
+                if (margin <= nxt[0] <= hi[0] and margin <= nxt[1] <= hi[1]
+                        and margin <= nxt[2] <= hi[2]):
                     break
                 if attempt < _MAX_DIRECTION_TRIES // 2:
                     d_try = _cap_direction(rng, direction, 0.7)
                 else:
-                    inward = 0.5 * (lo + hi) - pos
-                    inward /= max(1e-12, float(np.sqrt((inward ** 2).sum())))
+                    inward = _unit((centre[0] - x, centre[1] - y, centre[2] - z), 1e-12)
                     d_try = _cap_direction(rng, inward, 0.8)
             else:
                 raise GenerationError(
@@ -157,8 +169,8 @@ def generate_tree(spec: SynthSpec) -> Morphology:
             current = add_node(nxt, d_try, current, type_code)
             direction = _cap_direction(rng, d_try, 0.9)
 
-    root_pos = lo + rng.uniform(size=3) * (hi - lo)
-    root_dir = _unit_sphere(rng)
+    root_pos = tuple(margin + r * (b - margin) for r, b in zip(rng.uniform(size=3).tolist(), hi))
+    root_dir = tuple(_unit_sphere(rng).tolist())
     root_id = add_node(root_pos, root_dir, -1, type_code=1)
     grow_path(root_id, root_dir, int(rng.integers(4, 7)), type_code=3)
 

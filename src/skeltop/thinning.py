@@ -83,16 +83,18 @@ def _simple(nb):
 def _first_independent(idx, earlier):
     """Lexicographically first maximal independent subset of ascending `idx`,
     where `earlier` holds the flat offsets of the 13 preceding 26-neighbors."""
-    nbr_flat = idx[:, None] + earlier
-    nbr = np.searchsorted(idx, nbr_flat)
-    hit = idx[np.minimum(nbr, len(idx) - 1)] == nbr_flat
-    # (candidate, earlier candidate) pairs, ascending by candidate: every
-    # earlier candidate's fate is final before it is read
-    keep = [True] * len(idx)
-    for c, p in zip(np.nonzero(hit)[0].tolist(), nbr[hit].tolist()):
-        if keep[p]:
-            keep[c] = False
-    return idx[np.array(keep, dtype=bool)]
+    keep = bytearray(b"\x01") * len(idx)
+    for lo in range(0, len(idx), _BLOCK):  # a block's pairs point back into all of idx
+        nbr_flat = idx[lo:lo + _BLOCK, None] + earlier
+        nbr = np.searchsorted(idx, nbr_flat)
+        hit = idx[np.minimum(nbr, len(idx) - 1)] == nbr_flat
+        # (candidate, earlier candidate) pairs, ascending by candidate: every
+        # earlier candidate's fate is final before it is read
+        rows, cols = np.nonzero(hit)
+        for c, p in zip((rows + lo).tolist(), nbr[rows, cols].tolist()):
+            if keep[p]:
+                keep[c] = 0
+    return idx[np.frombuffer(keep, dtype=bool)]
 
 
 def _deletable(flat, border, offs):

@@ -302,11 +302,16 @@ def test_empty_targets_keep_their_message():
         min_dists_to_set(np.zeros((2, 3), np.int64), np.empty((0, 3), np.int64))
 
 
-def _spy_results(monkeypatch, name):
-    """Record the result of every call to spatial.<name>."""
-    results, real = [], getattr(spatial, name)
-    monkeypatch.setattr(spatial, name, lambda *a: results.append(real(*a)) or results[-1])
-    return results
+def _spy_leftovers(monkeypatch):
+    """Record, per call to spatial._lattice, the queries it left unsettled (best still inf)."""
+    left, real = [], spatial._lattice
+
+    def spy(best, *rest):
+        real(best, *rest)
+        left.append(np.flatnonzero(np.isinf(best)))
+
+    monkeypatch.setattr(spatial, "_lattice", spy)
+    return left
 
 
 def _voxel_surfaces(rng, n):
@@ -370,7 +375,7 @@ def test_lattice_stage_matches_brute_force_and_reference(data):
 def test_lattice_stage_settles_surface_queries_in_the_cube(monkeypatch):
     # only queries with no target within d2 = 3 reach the grid search
     queries, targets = _voxel_surfaces(np.random.default_rng(31), 40)
-    left = _spy_results(monkeypatch, "_lattice")
+    left = _spy_leftovers(monkeypatch)
     got = min_dists_to_set(queries, targets)
     assert np.array_equal(got, brute_in_blocks(queries, targets))
     assert 0 < len(left[0]) < len(queries) // 2
@@ -380,7 +385,7 @@ def test_lattice_stage_settles_surface_queries_in_the_cube(monkeypatch):
 def test_shell_d2_3_settles_and_d2_4_falls_back(monkeypatch):
     targets = np.stack(np.meshgrid(*[np.arange(0, 60, 4)] * 3, indexing="ij"), -1).reshape(-1, 3)
     queries = np.concatenate((targets + (1, 1, 1), targets + (2, 0, 0), targets - (1, 1, 1)))
-    left = _spy_results(monkeypatch, "_lattice")
+    left = _spy_leftovers(monkeypatch)
     got = min_dists_to_set(queries, targets)
     assert np.array_equal(got, brute_in_blocks(queries, targets))
     assert np.array_equal(np.unique(got), [np.sqrt(3.0), 2.0])
@@ -391,7 +396,7 @@ def test_wide_box_falls_back_without_overflow(monkeypatch):
     rng = np.random.default_rng(32)
     queries, targets = (rng.integers(-5 * 10 ** 6, 5 * 10 ** 6, size=(n, 3)) for n in (400, 300))
     targets[:150] = queries[:150] + rng.integers(-1, 2, size=(150, 3))  # lattice neighbours
-    left = _spy_results(monkeypatch, "_lattice")
+    left = _spy_leftovers(monkeypatch)
     assert np.array_equal(min_dists_to_set(queries, targets), brute_min_dists(queries, targets))
     assert np.array_equal(left[0], np.arange(len(queries)))  # none settled
 
@@ -402,7 +407,7 @@ def test_coordinates_beyond_float_precision_skip_the_lattice(monkeypatch):
     rng = np.random.default_rng(33)
     targets = rng.integers(0, 40, size=(200, 3)) + 2 ** 60
     queries = np.concatenate((targets + (1, 0, 0), rng.integers(0, 40, size=(100, 3)) + 2 ** 60))
-    left = _spy_results(monkeypatch, "_lattice")
+    left = _spy_leftovers(monkeypatch)
     got = min_dists_to_set(queries, targets)
     assert np.array_equal(got, brute_min_dists(queries, targets))
     assert got[0] == 0.0 and left == []
@@ -419,7 +424,7 @@ def test_integer_and_float_inputs_mixed_take_the_float_path(monkeypatch):
     rng = np.random.default_rng(34)
     ints = rng.integers(-10, 10, size=(400, 3))
     floats = ints[::-2] + rng.uniform(-0.6, 0.6, size=(200, 3))
-    left = _spy_results(monkeypatch, "_lattice")
+    left = _spy_leftovers(monkeypatch)
     for q, t in ((ints, floats), (floats, ints)):
         assert np.array_equal(min_dists_to_set(q, t), brute_min_dists(q, t))
     assert left == []
@@ -585,7 +590,7 @@ def test_lattice_leftovers_at_squared_distance_4_5_8_9_and_beyond_40(monkeypatch
     rng = np.random.default_rng(seed)
     d2s = [4, 5, 8, 9, 41, 50, 72, 98]
     queries, targets = _speckled_surface(rng, d2s)
-    left, levels = _spy_results(monkeypatch, "_lattice"), _spy(monkeypatch, "_level")
+    left, levels = _spy_leftovers(monkeypatch), _spy(monkeypatch, "_level")
     got = min_dists_to_set(queries, targets)
     assert np.array_equal(got, brute_in_blocks(queries, targets))
     assert np.array_equal(got, nn_reference.min_dists_to_set(queries, targets))
@@ -625,7 +630,7 @@ def test_both_directions_beyond_float_precision_or_mixed_take_the_float_path(mon
     big = rng.integers(0, 40, size=(300, 3)) + 2 ** 60  # 2**60 + 1 reads as 2**60
     ints = rng.integers(-10, 10, size=(400, 3))
     floats = ints[::-2] + rng.uniform(-0.6, 0.6, size=(200, 3))
-    left = _spy_results(monkeypatch, "_lattice")
+    left = _spy_leftovers(monkeypatch)
     for a, b in ((big, big[::-1] + (1, 0, 0)), (ints, floats), (floats, ints)):
         d_a, d_b = spatial._min_dists_both(a, b)
         want_a, want_b = _two_calls(a, b)
@@ -689,7 +694,7 @@ def test_lattice_slabs_one_two_and_many(monkeypatch, depth, n_slabs):
 def test_box_with_a_plane_over_a_third_of_a_slab_skips_the_lattice(monkeypatch, slab):
     monkeypatch.setattr(spatial, "_SLAB", slab)
     queries, targets = _slab_points(np.random.default_rng(slab))
-    left, grids = _spy_results(monkeypatch, "_lattice"), _spy(monkeypatch, "_grid")
+    left, grids = _spy_leftovers(monkeypatch), _spy(monkeypatch, "_grid")
     got = min_dists_to_set(queries, targets)
     d_q, d_t = spatial._min_dists_both(queries, targets)
     assert np.array_equal(got, brute_min_dists(queries, targets)) and np.array_equal(d_q, got)

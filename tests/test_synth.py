@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import synth_reference
 from skeltop import (GenerationError, ValidationError, parse_swc, pds,
-                     skeleton_loss, threshold, write_swc)
+                     skeleton_loss, synth, threshold, write_swc)
 from skeltop.segmetrics import precision_recall_f1
 from skeltop.swc import Morphology, SwcRecord
 from skeltop.synth import SynthSpec, generate_tree, rasterize
@@ -105,6 +108,46 @@ class TestGenerateTree:
                     {"seed": 0, "noise_sigma": np.False_}, {"seed": False}):
             with pytest.raises(ValidationError, match="must be an? (integer|finite number)"):
                 SynthSpec(**bad)
+
+
+def _grown(generate, spec):
+    """The tree's records, or the GenerationError message."""
+    try:
+        return generate(spec).records
+    except GenerationError as err:
+        return str(err)
+
+
+# the benchmark's fixture specs: train-step and cli-batch, and eval-case's two cube sizes
+_BENCH_SPECS = [dict(dims=(64, 64, 64), tube_radius=2.0, noise_sigma=0.1, blur_sigma=1.0)] + [
+    dict(dims=(edge,) * 3, n_branch_points=8, segment_length=(6.0, 10.0), tube_radius=2.0,
+         blur_sigma=1.0) for edge in (64, 96)]
+
+
+class TestGrowthMatchesNumpyReference:
+    """generate_tree on float tuples against the NumPy 3-vector formulation."""
+
+    @pytest.mark.parametrize("fields", _BENCH_SPECS)
+    def test_benchmark_specs(self, fields):
+        seeds = list(range(12)) + [int(s) for s in np.random.SeedSequence(23).generate_state(12)]
+        for seed in seeds:
+            spec = SynthSpec(seed=seed, **fields)
+            assert _grown(generate_tree, spec) == _grown(synth_reference.generate_tree, spec)
+
+    def test_drawn_specs_including_the_inward_fallback(self, monkeypatch):
+        cones, real = [], synth._cap_direction
+        monkeypatch.setattr(synth, "_cap_direction", lambda *a: cones.append(a[2]) or real(*a))
+
+        @given(st.integers(0, 2 ** 63), st.tuples(*[st.integers(5, 48)] * 3), st.integers(0, 8),
+               st.floats(0.5, 12.0), st.floats(0.0, 6.0), st.floats(0.5, 4.0))
+        @settings(max_examples=150, deadline=None)
+        def check(seed, dims, n_branch_points, shortest, spread, tube_radius):
+            spec = SynthSpec(seed=seed, dims=dims, n_branch_points=n_branch_points,
+                             segment_length=(shortest, shortest + spread), tube_radius=tube_radius)
+            assert _grown(generate_tree, spec) == _grown(synth_reference.generate_tree, spec)
+
+        check()
+        assert 0.8 in cones  # some drawn case ran past attempt 32, to the inward cap
 
 
 class TestRasterize:

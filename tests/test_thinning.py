@@ -226,6 +226,27 @@ class TestBlocks:
         padded = np.prod(np.add(mask.shape, 2))  # the zero-padded image thin works on
         assert peak < padded + mask.size + 2**20, peak
 
+    def test_conflict_pass_holds_one_block_of_pairs(self, monkeypatch):
+        # all 32768 voxels of a (2, 128, 128) slab are candidates; held for all
+        # candidates at once, the pairs and keep flags took about 1 kB each
+        monkeypatch.setattr(thinning, "_BLOCK", 256)
+        slab = np.zeros((4, 130, 130), dtype=bool)
+        slab[1:3, 1:-1, 1:-1] = True
+        idx = np.flatnonzero(slab)
+        offs = thinning._OFFSETS @ np.array([130 * 130, 130, 1])
+        tracemalloc.start()
+        try:
+            got = thinning._first_independent(idx, offs[:thinning._CENTER])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        chosen = np.zeros_like(slab)
+        chosen[1, 1:-1:2, 1:-1:2] = True  # the first plane's even rows and columns
+        assert np.array_equal(got, np.flatnonzero(chosen))
+        assert peak < 16 * len(idx) + 1024 * thinning._BLOCK, peak
+        mask = np.random.default_rng(5).random((3, 20, 20)) < 0.5  # about 600 candidates: 3 blocks
+        assert np.array_equal(first_independent_mask(mask), naive_first_independent(mask))
+
 
 class TestThinStack:
     @settings(max_examples=30, deadline=None)
